@@ -153,17 +153,23 @@ def _build_numba():
 
     @njit(cache=False)
     def gate_mix_nb(amps, uu, dd, ud, du, g00, g11, g12, g21, g22, g33):  # pragma: no cover
+        # amps is (dim, m); each column is one state.  Scalar temporaries:
+        # a row slice would be a view, overwritten before its partner row.
+        m = amps.shape[1]
         for i in range(uu.size):
-            amps[uu[i]] *= g00
+            for k in range(m):
+                amps[uu[i], k] *= g00
         for i in range(dd.size):
-            amps[dd[i]] *= g33
+            for k in range(m):
+                amps[dd[i], k] *= g33
         for i in range(ud.size):
             p = ud[i]
             q = du[i]
-            a = amps[p]
-            b = amps[q]
-            amps[p] = g11 * a + g12 * b
-            amps[q] = g21 * a + g22 * b
+            for k in range(m):
+                a = amps[p, k]
+                b = amps[q, k]
+                amps[p, k] = g11 * a + g12 * b
+                amps[q, k] = g21 * a + g22 * b
 
     @njit(cache=False)
     def swap_walk_nb(table, start, bonds, burn_in, counts):  # pragma: no cover
@@ -214,18 +220,18 @@ def pack_bits(words: np.ndarray, positions: np.ndarray) -> np.ndarray:
 def gate_mix(amps: np.ndarray, uu, dd, ud, du, u4: np.ndarray) -> None:
     """Apply a magnetization-block two-site gate to ``amps`` in place.
 
-    ``uu``/``dd`` index basis states whose bond sites are both up / both
-    down; ``ud``/``du`` are aligned index pairs coupled by the middle block
-    of the 4x4 gate ``u4`` (ordering up-up, up-down, down-up, down-down).
+    ``amps`` is one state ``(dim,)`` or a block ``(dim, m)`` of states, one
+    per column.  ``uu``/``dd`` index basis states whose bond sites are both
+    up / both down; ``ud``/``du`` are aligned index pairs coupled by the
+    middle block of the 4x4 gate ``u4`` (ordering up-up, up-down, down-up,
+    down-down).
     """
-    args = (
-        amps, uu, dd, ud, du,
-        u4[0, 0], u4[1, 1], u4[1, 2], u4[2, 1], u4[2, 2], u4[3, 3],
-    )
+    g = (u4[0, 0], u4[1, 1], u4[1, 2], u4[2, 1], u4[2, 2], u4[3, 3])
     if _active == "numba":
-        _nb("gate_mix")(*args)
+        # a view, so the in-place update reaches a one-dimensional ``amps``
+        _nb("gate_mix")(amps.reshape(amps.shape[0], -1), uu, dd, ud, du, *g)
     else:
-        _gate_mix_py(*args)
+        _gate_mix_py(amps, uu, dd, ud, du, *g)
 
 
 def swap_walk(table: np.ndarray, start: int, bonds: np.ndarray, burn_in: int):

@@ -204,6 +204,14 @@ def _entropies_of_scattered(basis: SectorBasis, buf: np.ndarray) -> np.ndarray:
     return s
 
 
+def _half_chain_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
+    """Half-chain entropy of every unit column of a ``(dim, m)`` block."""
+    pos = subsystem_split(basis, range(1, basis.L // 2 + 1)).positions
+    buf = np.zeros((block.shape[1], basis.dim), dtype=np.complex128)
+    buf[:, pos] = block.T
+    return _entropies_of_scattered(basis, buf)
+
+
 _POSITIONS_CACHE_MAX_L = 14
 
 

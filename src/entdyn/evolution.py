@@ -41,7 +41,8 @@ class SpectralDecomposition:
 
     ``kind`` is ``"hermitian"`` (``values`` are energies) or ``"unitary"``
     (``values`` are eigenphases in (-pi, pi]).  ``values`` ascend and
-    ``vectors[:, k]`` is the matching orthonormal eigenvector.
+    ``vectors[:, k]`` is the matching orthonormal eigenvector, float64 for
+    a real symmetric operator and complex otherwise.
     """
 
     kind: str
@@ -68,7 +69,7 @@ class SpectralDecomposition:
 
 def _reduced_phases(values: np.ndarray, factor) -> np.ndarray:
     """``values * factor mod 2 pi`` computed in extended precision."""
-    prod = values.astype(np.longdouble) * np.longdouble(factor)
+    prod = values.astype(np.longdouble) * np.asarray(factor, dtype=np.longdouble)
     return np.mod(prod, _TWO_PI_LD).astype(np.float64)
 
 
@@ -76,7 +77,7 @@ def spectral_decompose(op: OperatorMatrix) -> SpectralDecomposition:
     """Eigendecomposition of a hermitian sector operator, values ascending.
 
     Exactly diagonal matrices short-circuit to a sort; exactly real
-    symmetric ones use the real solver and cast the vectors to complex.
+    symmetric ones use the real solver and keep its float64 vectors.
     """
     H = op.elements
     defect = op.hermiticity_defect()
@@ -84,18 +85,15 @@ def spectral_decompose(op: OperatorMatrix) -> SpectralDecomposition:
     if defect > _HERM_TOL * scale:
         raise NumericError(f"operator is not hermitian (defect {defect})")
     d = np.real(np.diag(H)).copy()
-    off = H.copy()
-    np.fill_diagonal(off, 0.0)
-    if not off.any():
+    if np.count_nonzero(H) == np.count_nonzero(np.diagonal(H)):
         order = np.argsort(d, kind="stable")
-        vectors = np.zeros((op.dim, op.dim), dtype=np.complex128)
+        vectors = np.zeros((op.dim, op.dim), dtype=np.float64)
         vectors[order, np.arange(op.dim)] = 1.0
         return SpectralDecomposition(
             kind="hermitian", basis=op.basis, values=d[order], vectors=vectors
         )
     if not H.imag.any():
         vals, vecs = np.linalg.eigh(H.real)
-        vecs = vecs.astype(np.complex128)
     else:
         vals, vecs = np.linalg.eigh(H)
     return SpectralDecomposition(
@@ -115,6 +113,45 @@ def spectrum(op: OperatorMatrix) -> np.ndarray:
     return np.linalg.eigvalsh(H)
 
 
+def _phase_factors(decomp: SpectralDecomposition, steps) -> np.ndarray:
+    """Eigenbasis factors of one evolution per step, shape ``(dim, len(steps))``.
+
+    Steps are times for a hermitian decomposition (``exp(-i E t)``) and
+    whole periods for a unitary one (``exp(i theta n)``).
+    """
+    sign = -1j if decomp.kind == "hermitian" else 1j
+    steps = np.asarray(steps)
+    return np.exp(sign * _reduced_phases(decomp.values[:, None], steps[None, :]))
+
+
+def _spectral_apply(
+    decomp: SpectralDecomposition, block: np.ndarray, factors: np.ndarray
+) -> np.ndarray:
+    """``V (factors * V^H block)`` for a ``(dim, m)`` block of unit columns.
+
+    ``factors`` comes from :func:`_phase_factors`; its columns broadcast
+    against the block's, so one state can be evolved to many steps or many
+    states by one step.  Real eigenvectors act through one real GEMM on the
+    float view of the complex amplitudes.  Every result column passes the
+    norm-drift guard and is renormalized.
+    """
+    V = decomp.vectors
+    block = np.ascontiguousarray(block, dtype=np.complex128)
+    if V.dtype == np.float64:
+        c = (V.T @ block.view(np.float64)).view(np.complex128) * factors
+        out = (V @ c.view(np.float64)).view(np.complex128)
+    else:
+        # V^H block as (block^H V)^H, without a conjugated copy of V
+        c = (block.T.conj() @ V).conj().T * factors
+        out = V @ c
+    n = np.linalg.norm(out, axis=0)
+    drift = float(np.abs(n - 1.0).max())
+    if drift > _NORM_DRIFT_TOL:
+        raise NumericError(f"{decomp.kind} evolution norm drift {drift}")
+    out /= n
+    return out
+
+
 def propagate(decomp: SpectralDecomposition, state: SectorState, t: float) -> SectorState:
     """Evolve ``state`` for time ``t >= 0`` under a hermitian decomposition."""
     if decomp.kind != "hermitian":
@@ -124,13 +161,8 @@ def propagate(decomp: SpectralDecomposition, state: SectorState, t: float) -> Se
     t = float(t)
     if t < 0:
         raise ParameterError(f"t must be nonnegative, got {t}")
-    c = decomp.vectors.conj().T @ state.amplitudes
-    c *= np.exp(-1j * _reduced_phases(decomp.values, t))
-    amps = decomp.vectors @ c
-    n = float(np.linalg.norm(amps))
-    if abs(n - 1.0) > _NORM_DRIFT_TOL:
-        raise NumericError(f"propagation norm drift {abs(n - 1.0)}")
-    return SectorState(state.basis, amps / n)
+    amps = _spectral_apply(decomp, state.amplitudes[:, None], _phase_factors(decomp, [t]))
+    return SectorState(state.basis, amps[:, 0])
 
 
 def build_floquet(
@@ -146,11 +178,7 @@ def build_floquet(
     """
     if H0.basis is not Hxy.basis:
         raise ParameterError("H0 and Hxy must share a basis")
-    d0 = spectral_decompose(H0)
-    d1 = spectral_decompose(Hxy)
-    U1 = (d1.vectors * np.exp(-1j * _reduced_phases(d1.values, T1))) @ d1.vectors.conj().T
-    phases0 = np.exp(-1j * _reduced_phases(d0.values, T0))
-    F = (d0.vectors * phases0) @ (d0.vectors.conj().T @ U1)
+    F = _period_map(H0, Hxy, T0, T1)
     defect = float(np.abs(F.conj().T @ F - np.eye(F.shape[0])).max())
     if defect > _UNITARY_TOL:
         raise NumericError(f"period map is not unitary (defect {defect})")
@@ -172,6 +200,22 @@ def build_floquet(
     )
 
 
+def _period_map(H0: OperatorMatrix, Hxy: OperatorMatrix, T0: float, T1: float) -> np.ndarray:
+    """The dense matrix ``exp(-i T0 H0) exp(-i T1 Hxy)``.
+
+    Its own function so that the factors are freed before the Schur step.
+    """
+    d0 = spectral_decompose(H0)
+    d1 = spectral_decompose(Hxy)
+    # complex copies keep these products, and so the eigenphases that a
+    # 3e11-period reading amplifies, exactly as with complex eigenvectors
+    V0 = d0.vectors.astype(np.complex128)
+    V1 = d1.vectors.astype(np.complex128)
+    U1 = (V1 * np.exp(-1j * _reduced_phases(d1.values, T1))) @ V1.conj().T
+    phases0 = np.exp(-1j * _reduced_phases(d0.values, T0))
+    return (V0 * phases0) @ (V0.conj().T @ U1)
+
+
 def floquet_power(
     decomp: SpectralDecomposition, state: SectorState, n: int
 ) -> SectorState:
@@ -182,13 +226,10 @@ def floquet_power(
         raise ParameterError("state and decomposition use different bases")
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ParameterError(f"n must be a nonnegative integer, got {n!r}")
-    c = decomp.vectors.conj().T @ state.amplitudes
-    c *= np.exp(1j * _reduced_phases(decomp.values, int(n)))
-    amps = decomp.vectors @ c
-    norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > _NORM_DRIFT_TOL:
-        raise NumericError(f"period-map norm drift {abs(norm - 1.0)}")
-    return SectorState(state.basis, amps / norm)
+    amps = _spectral_apply(
+        decomp, state.amplitudes[:, None], _phase_factors(decomp, [int(n)])
+    )
+    return SectorState(state.basis, amps[:, 0])
 
 
 @dataclass(eq=False)
@@ -278,29 +319,36 @@ def run_rqc(
     if marks.min() < 0 or marks.max() > depth:
         raise ParameterError("recorded depths must lie in 0..depth")
     gate: TwoQubitGate = build_two_qubit_gate(alpha, beta)
-    groups = [bond_groups(basis, b) for b in range(1, basis.L)]
-    mark_set = set(int(m) for m in marks)
 
     amps = state.amplitudes.copy()
     s_h = []
     s_b = [] if record_baee else None
-
-    def snapshot():
+    for _ in _apply_circuit(amps, gate.u, basis, bonds, marks):
         snap = SectorState(basis, amps / np.linalg.norm(amps))
         s_h.append(_hcee(snap))
         if s_b is not None:
             s_b.append(_baee(snap))
-
-    if 0 in mark_set:
-        snapshot()
-    for d in range(1, depth + 1):
-        uu, dd, ud, du = groups[bonds[d - 1] - 1]
-        _kernels.gate_mix(amps, uu, dd, ud, du, gate.u)
-        if d in mark_set:
-            snapshot()
     return Trajectory(
         times=marks.astype(np.float64),
         hcee=np.array(s_h),
         baee=None if s_b is None else np.array(s_b),
         meta={"alpha": gate.alpha, "beta": gate.beta, "depth": depth},
     )
+
+
+def _apply_circuit(amps: np.ndarray, u4: np.ndarray, basis: SectorBasis, bonds, marks):
+    """Apply the gate ``u4`` on each of ``bonds`` in turn to ``amps`` in place.
+
+    ``amps`` is one state ``(dim,)`` or a block of states ``(dim, m)``.
+    The generator pauses (yielding the depth) before the first gate if 0 is
+    in ``marks`` and after every gate whose depth is in ``marks``.
+    """
+    groups = [bond_groups(basis, b) for b in range(1, basis.L)]
+    mark_set = set(int(m) for m in marks)
+    if 0 in mark_set:
+        yield 0
+    for d, b in enumerate(bonds, start=1):
+        uu, dd, ud, du = groups[b - 1]
+        _kernels.gate_mix(amps, uu, dd, ud, du, u4)
+        if d in mark_set:
+            yield d

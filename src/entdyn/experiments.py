@@ -36,11 +36,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import SectorBasis, enumerate_sector
-from .entanglement import baee, hcee
+from .entanglement import _half_chain_entropies, baee, hcee
 from .errors import NumericError, ParameterError
 from .evolution import (
     SpectralDecomposition,
     Trajectory,
+    _apply_circuit,
+    _phase_factors,
+    _spectral_apply,
     build_floquet,
     floquet_power,
     hybrid_schedule,
@@ -54,6 +57,7 @@ from .operators import (
     OperatorMatrix,
     build_ising_z,
     build_local_cut,
+    build_two_qubit_gate,
     build_xxz,
     gate_class,
     sample_fields,
@@ -241,30 +245,35 @@ class _QuenchEngine:
     bond_seqs: list[np.ndarray] = field(default_factory=list)
     depth: int = RQC_DEPTH
 
-    def saturation(self, state: SectorState) -> float:
+    def saturation(self, block: np.ndarray) -> np.ndarray:
+        """Saturation entropy of every unit column of a ``(dim, m)`` block."""
         kind = self.spec.kind
-        if kind in ("thermal", "hamiltonian_mbl", "anderson"):
-            return hcee(propagate(self.decomp, state, SAT_TIME))
+        basis, decomp = self.basis, self.decomp
+        if kind in ("thermal", "hamiltonian_mbl", "anderson", "floquet_mbl"):
+            step = SAT_PERIODS if kind == "floquet_mbl" else SAT_TIME
+            late = _spectral_apply(decomp, block, _phase_factors(decomp, [step]))
+            return _half_chain_entropies(basis, late)
         if kind == "free_fermion":
-            vals = [hcee(propagate(self.decomp, state, t)) for t in FF_WINDOW]
-            return float(np.mean(vals))
-        if kind == "floquet_mbl":
-            return hcee(floquet_power(self.decomp, state, SAT_PERIODS))
+            window = _phase_factors(decomp, FF_WINDOW)
+            return np.array([
+                _half_chain_entropies(
+                    basis, _spectral_apply(decomp, block[:, j : j + 1], window)
+                ).mean()
+                for j in range(block.shape[1])
+            ])
         if self.spec.is_swap:
-            return baee(state)
+            return np.array([baee(SectorState(basis, col)) for col in block.T])
+        u4 = build_two_qubit_gate(self.spec.alpha, self.spec.beta).u
         window = _rqc_window(self.depth)
         means = []
         for bonds in self.bond_seqs:
-            traj = run_rqc(
-                state,
-                self.spec.alpha,
-                self.spec.beta,
-                self.depth,
-                record=window,
-                bonds=bonds,
-            )
-            means.append(float(traj.hcee.mean()))
-        return float(np.mean(means))
+            amps = block.astype(np.complex128, order="C")
+            snaps = [
+                _half_chain_entropies(basis, amps / np.linalg.norm(amps, axis=0))
+                for _ in _apply_circuit(amps, u4, basis, bonds, window)
+            ]
+            means.append(np.mean(snaps, axis=0))
+        return np.mean(means, axis=0)
 
 
 def _make_engine(
@@ -327,7 +336,7 @@ def saturation_value(
         engine.bond_seqs = [
             rng.integers(1, basis.L, size=depth) for _ in range(circuit_samples)
         ]
-    return engine.saturation(initial)
+    return float(engine.saturation(initial.amplitudes[:, None])[0])
 
 
 def run_protocol(
@@ -518,6 +527,11 @@ class SweepTable:
         return self.s_sat - self.s_initial
 
 
+def _prepared_block(prep: SpectralDecomposition, psi0: SectorState, T_arr) -> np.ndarray:
+    """Columns ``|psi0(T)>`` for every preparation time, one block per run."""
+    return _spectral_apply(prep, psi0.amplitudes[:, None], _phase_factors(prep, T_arr))
+
+
 def _mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = values.mean(axis=0)
     if values.shape[0] > 1:
@@ -563,10 +577,9 @@ def delta_s_sweep(
         )
         prep = spectral_decompose(build_prep(basis, prep_jz, prep_fields))
         engine = _make_engine(basis, spec, master_seed, run, circuit_samples, depth)
-        for j, T in enumerate(T_arr):
-            psi_t = propagate(prep, psi0, float(T))
-            s_i[run, j] = hcee(psi_t)
-            s_s[run, j] = engine.saturation(psi_t)
+        prepared = _prepared_block(prep, psi0, T_arr)
+        s_i[run] = _half_chain_entropies(basis, prepared)
+        s_s[run] = engine.saturation(prepared)
     mi, ei = _mean_stderr(s_i)
     ms, es = _mean_stderr(s_s)
     return SweepTable(
@@ -646,11 +659,11 @@ def eigenstate_sweep(
         )
         decomp = spectral_decompose(build_xxz(basis, prep_jz, prep_fields))
         engine = _make_engine(basis, spec, master_seed, run, circuit_samples, depth)
-        for j, rank in enumerate(rank_arr):
-            state = decomp.eigenstate(int(rank))
-            en[run, j] = decomp.values[int(rank) - 1]
-            s_i[run, j] = hcee(state)
-            s_s[run, j] = engine.saturation(state)
+        states = decomp.vectors[:, rank_arr - 1].astype(np.complex128, order="C")
+        states /= np.linalg.norm(states, axis=0)
+        en[run] = decomp.values[rank_arr - 1]
+        s_i[run] = _half_chain_entropies(basis, states)
+        s_s[run] = engine.saturation(states)
     mi, ei = _mean_stderr(s_i)
     ms, es = _mean_stderr(s_s)
     return EigensweepTable(
@@ -720,11 +733,11 @@ def reservoir_curve(
     for run in range(runs):
         psi0 = sample_initial_product(basis, derive_rng(master_seed, run, "psi0"))
         fields = sample_fields(basis.L, prep_W, derive_rng(master_seed, run, "prep"))
-        prep = spectral_decompose(build_xxz(basis, prep_jz, fields))
-        for j, T in enumerate(T_arr):
-            psi_t = propagate(prep, psi0, float(T))
-            h[run, j] = hcee(psi_t)
-            b[run, j] = baee(psi_t)
+        prepared = _prepared_block(
+            spectral_decompose(build_xxz(basis, prep_jz, fields)), psi0, T_arr
+        )
+        h[run] = _half_chain_entropies(basis, prepared)
+        b[run] = [baee(SectorState(basis, col)) for col in prepared.T]
     return ReservoirCurve(
         T=T_arr,
         hcee=h.mean(axis=0),

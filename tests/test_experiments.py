@@ -3,11 +3,14 @@ import pytest
 
 from entdyn.basis import enumerate_sector
 from entdyn.entanglement import baee, haar_sector_average, hcee
-from entdyn.errors import ParameterError
+from entdyn import experiments
+from entdyn.errors import NumericError, ParameterError
 from entdyn.evolution import floquet_power, propagate, run_rqc, spectral_decompose
 from entdyn.experiments import (
     DEFAULT_T_LIST,
     FF_WINDOW,
+    SAT_PERIODS,
+    SAT_TIME,
     ClassLabel,
     ProtocolSpec,
     SweepTable,
@@ -30,8 +33,44 @@ from entdyn.operators import (
     build_xxz,
     sample_fields,
 )
-from entdyn.evolution import build_floquet
+from entdyn.evolution import SpectralDecomposition, build_floquet
 from entdyn.state import random_sector_state
+
+BLOCK_T = (0.0, 0.5, 2.0, 10.0, 500.0)
+BLOCK_SPECS = [
+    ProtocolSpec(kind=k)
+    for k in ("thermal", "hamiltonian_mbl", "free_fermion", "floquet_mbl", "anderson")
+] + [
+    ProtocolSpec(kind="rqc", alpha=2.2, beta=0.8),
+    ProtocolSpec(kind="rqc", alpha=np.pi, beta=np.pi),
+]
+
+
+def _per_state_saturation(basis, spec, seed, run, circuit_samples, depth):
+    """Saturation of one state at a time through the public per-state API."""
+    spec = spec.normalized()
+    kind = spec.kind
+    fields = sample_fields(basis.L, spec.W, derive_rng(seed, run, f"quench:{kind}"))
+    if kind == "floquet_mbl":
+        H0 = build_ising_z(basis, fields)
+        F = build_floquet(H0, build_xxz(basis, 0.0, DisorderFields.zeros(basis.L)))
+        return lambda st: hcee(floquet_power(F, st, SAT_PERIODS))
+    if kind == "rqc" and spec.is_swap:
+        return baee
+    if kind == "rqc":
+        seqs = [
+            derive_rng(seed, run, f"circuit:{m}").integers(1, basis.L, size=depth)
+            for m in range(circuit_samples)
+        ]
+        window = range(depth - 99, depth + 1)
+        return lambda st: np.mean([
+            run_rqc(st, spec.alpha, spec.beta, depth, bonds=b, record=window).hcee.mean()
+            for b in seqs
+        ])
+    d = spectral_decompose(build_xxz(basis, spec.jz, fields))
+    if kind == "free_fermion":
+        return lambda st: np.mean([hcee(propagate(d, st, t)) for t in FF_WINDOW])
+    return lambda st: hcee(propagate(d, st, SAT_TIME))
 
 
 def test_derive_rng_streams_are_stable_and_distinct():
@@ -290,3 +329,67 @@ def test_haar_sector_average_l12_value():
     # regression pin for the desk-scale Haar mean used by the sweeps
     est = haar_sector_average(12, 2000, derive_rng(0, 0, "haar"))
     assert abs(est.mean - 5.157) < 0.02
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=lambda sp: f"{sp.kind}-{sp.alpha}")
+def test_delta_s_sweep_block_matches_per_state_loop(spec):
+    L, runs, seed, samples, depth = 8, 2, 3, 2, 200
+    table = delta_s_sweep(
+        L, spec, T_list=BLOCK_T, runs=runs, master_seed=seed,
+        circuit_samples=samples, depth=depth,
+    )
+    basis = enumerate_sector(L, 0)
+    s_i = np.empty((runs, len(BLOCK_T)))
+    s_s = np.empty((runs, len(BLOCK_T)))
+    for run in range(runs):
+        psi0 = sample_initial_product(basis, derive_rng(seed, run, "psi0"))
+        fields = sample_fields(L, 0.5, derive_rng(seed, run, "prep"))
+        prep = spectral_decompose(build_xxz(basis, 0.5, fields))
+        sat = _per_state_saturation(basis, spec, seed, run, samples, depth)
+        for j, T in enumerate(BLOCK_T):
+            st = propagate(prep, psi0, T)
+            s_i[run, j] = hcee(st)
+            s_s[run, j] = sat(st)
+    assert np.abs(table.s_initial - s_i.mean(axis=0)).max() < 1e-10
+    assert np.abs(table.s_sat - s_s.mean(axis=0)).max() < 1e-10
+
+
+def test_eigenstate_sweep_block_matches_per_state_loop():
+    L, runs, seed = 8, 2, 3
+    spec = ProtocolSpec(kind="hamiltonian_mbl")
+    table = eigenstate_sweep(L, spec, runs=runs, master_seed=seed)
+    basis = enumerate_sector(L, 0)
+    s_i = np.empty((runs, table.rank.size))
+    s_s = np.empty((runs, table.rank.size))
+    for run in range(runs):
+        fields = sample_fields(L, 0.5, derive_rng(seed, run, "prep"))
+        d = spectral_decompose(build_xxz(basis, 0.5, fields))
+        sat = _per_state_saturation(basis, spec, seed, run, 1, 1)
+        for j, rank in enumerate(table.rank):
+            st = d.eigenstate(int(rank))
+            s_i[run, j] = hcee(st)
+            s_s[run, j] = sat(st)
+    assert np.abs(table.s_initial - s_i.mean(axis=0)).max() < 1e-10
+    assert np.abs(table.s_sat - s_s.mean(axis=0)).max() < 1e-10
+
+
+def _scaled(d):
+    return SpectralDecomposition(d.kind, d.basis, d.values, d.vectors * (1 + 1e-5))
+
+
+@pytest.mark.parametrize("kind", ["thermal", "free_fermion", "floquet_mbl"])
+def test_block_path_guards_norm_drift(kind, monkeypatch):
+    spec = ProtocolSpec(kind=kind)
+    basis = enumerate_sector(8, 0)
+    engine = experiments._make_engine(basis, spec, 0, 0)
+    engine.decomp = _scaled(engine.decomp)
+    block = np.eye(basis.dim, 3, dtype=np.complex128)
+    with pytest.raises(NumericError):
+        engine.saturation(block)
+    # the preparation block is guarded the same way
+    decompose = experiments.spectral_decompose
+    monkeypatch.setattr(
+        experiments, "spectral_decompose", lambda op: _scaled(decompose(op))
+    )
+    with pytest.raises(NumericError):
+        delta_s_sweep(8, spec, T_list=BLOCK_T, runs=1)

@@ -66,6 +66,13 @@ def test_gate_mix_matches_scalar_semantics(basis8, rng):
     got = amps.copy()
     _kernels.gate_mix(got, uu, dd, ud, du, gate.u)
     assert np.array_equal(got, expected)
+    # a (dim, m) block transforms column by column, each like one state
+    block = np.stack([amps, 1j * amps, amps[::-1]], axis=1)
+    _kernels.gate_mix(block, uu, dd, ud, du, gate.u)
+    for k, col in enumerate((amps, 1j * amps, amps[::-1])):
+        one = col.copy()
+        _kernels.gate_mix(one, uu, dd, ud, du, gate.u)
+        assert np.array_equal(block[:, k], one)
 
 
 def test_swap_walk_matches_python_walk():
@@ -117,18 +124,19 @@ def test_pack_bits_bit_identical(both_backends, basis8, rng):
 @needs_numba
 def test_gate_mix_bit_identical(both_backends, basis8, rng):
     gate = build_two_qubit_gate(0.9, 5.1)
-    amps = rng.normal(size=basis8.dim) + 1j * rng.normal(size=basis8.dim)
     uu, dd, ud, du = bond_groups(basis8, 4)
+    for shape in ((basis8.dim,), (basis8.dim, 3)):
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    def run():
-        out = amps.copy()
-        _kernels.gate_mix(out, uu, dd, ud, du, gate.u)
-        return out
+        def run():
+            out = amps.copy()
+            _kernels.gate_mix(out, uu, dd, ud, du, gate.u)
+            return out
 
-    a = _with("numpy", run)
-    b = _with("numba", run)
-    # identical float operations in identical order on both paths
-    assert np.array_equal(a, b)
+        a = _with("numpy", run)
+        b = _with("numba", run)
+        # identical float operations in identical order on both paths
+        assert np.array_equal(a, b)
 
 
 @needs_numba
@@ -149,11 +157,17 @@ def test_env_var_selects_backend(tmp_path):
     import subprocess
     import sys
 
+    import os
+
     code = "import entdyn._kernels as k; print(k.backend())"
+    env = {"PATH": "/usr/bin:/bin", "ENTDYN_BACKEND": "numpy"}
+    if "PYTHONPATH" in os.environ:
+        # an uninstalled checkout is importable only through PYTHONPATH
+        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "ENTDYN_BACKEND": "numpy"},
+        env=env,
     )
     assert out.stdout.strip() == "numpy"
