@@ -9,7 +9,7 @@ level-spacing diagnostics.
 
 __version__ = "0.1.0"
 
-from .basis import SectorBasis, enumerate_sector, state_index, subsystem_split
+from .basis import SectorBasis, enumerate_sector, subsystem_split
 from .bipartition_markov import (
     markov_report,
     monte_carlo_occupation,
@@ -27,9 +27,7 @@ from .entanglement import (
     enumerate_bipartitions,
     haar_sector_average,
     hcee,
-    reduced_density,
     subset_entropy,
-    von_neumann_entropy,
 )
 from .errors import (
     CapacityError,
@@ -58,13 +56,8 @@ from .experiments import (
     eigenstate_sweep,
     mean_trajectory,
     pooled_disorder_ratios,
-    prepare_locally_entangled,
-    prepare_thermalized,
     reservoir_curve,
-    run_protocol,
     sample_initial_product,
-    saturation_value,
-    select_eigenstate,
 )
 from .operators import (
     DisorderFields,
@@ -90,7 +83,6 @@ __all__ = [
     "__version__",
     "SectorBasis",
     "enumerate_sector",
-    "state_index",
     "subsystem_split",
     "SectorState",
     "random_sector_state",
@@ -105,8 +97,6 @@ __all__ = [
     "apply_gate",
     "Bipartition",
     "enumerate_bipartitions",
-    "reduced_density",
-    "von_neumann_entropy",
     "subset_entropy",
     "hcee",
     "bipartition_entropies",
@@ -136,11 +126,6 @@ __all__ = [
     "ProtocolSpec",
     "derive_rng",
     "sample_initial_product",
-    "prepare_thermalized",
-    "prepare_locally_entangled",
-    "select_eigenstate",
-    "saturation_value",
-    "run_protocol",
     "mean_trajectory",
     "delta_s_sweep",
     "eigenstate_sweep",

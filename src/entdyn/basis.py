@@ -88,14 +88,8 @@ def enumerate_sector(L: int, sz_total: float) -> SectorBasis:
         raise ParameterError(
             f"sz_total = {sz_total} does not give an integer up count in 0..{L}"
         )
-    size = binom(L, n_up)
-    words = _kernels.sector_words(L, n_up, size)
+    words = _kernels.sector_words(L, n_up)
     return SectorBasis(L=L, sz_total=float(sz_total), n_up=n_up, states=words)
-
-
-def state_index(basis: SectorBasis, word: int) -> int:
-    """Ordinal of ``word`` inside ``basis``; StateNotInSector if absent."""
-    return basis.index_of(word)
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -157,11 +158,15 @@ def _cmd_basis(cfg: RunConfig, t0: float) -> int:
     return _finish("basis", cfg, dump, summary, t0, f"basis: L={basis.L} dim={basis.dim}")
 
 
-def _cmd_evolve(cfg: RunConfig, t0: float) -> int:
+def _cmd_trajectory(command: str, cfg: RunConfig, t0: float) -> int:
+    """``evolve`` takes the Hamiltonian and Floquet kinds, ``rqc`` circuits."""
     spec = _protocol_from(cfg)
-    if spec.kind == "rqc":
-        raise ConfigError("evolve handles Hamiltonian/Floquet kinds; use the rqc command")
-    _progress(f"evolve: kind={spec.kind} L={cfg.L} runs={cfg.runs}")
+    if (spec.kind == "rqc") != (command == "rqc"):
+        raise ConfigError(
+            f"{command} does not take protocol.kind = {spec.kind}; "
+            "circuits use the rqc command, every other kind evolve"
+        )
+    _progress(f"{command}: kind={spec.kind} L={cfg.L} runs={cfg.runs}")
     traj = mean_trajectory(
         cfg.L,
         spec,
@@ -173,37 +178,13 @@ def _cmd_evolve(cfg: RunConfig, t0: float) -> int:
         prep_jz=cfg.prep_jz,
         prep_local=cfg.prep_local,
         record_baee=cfg.record_baee,
-    )
-    summary = {**traj.meta, "final_hcee": float(traj.hcee[-1])}
-    return _finish(
-        "evolve", cfg, traj, summary, t0,
-        f"evolve: kind={spec.kind} L={cfg.L} runs={cfg.runs} final_hcee={traj.hcee[-1]:.6f}",
-    )
-
-
-def _cmd_rqc(cfg: RunConfig, t0: float) -> int:
-    spec = _protocol_from(cfg, default_kind=None)
-    if spec.kind != "rqc":
-        raise ConfigError("the rqc command needs protocol.kind = rqc")
-    _progress(f"rqc: alpha={spec.alpha} beta={spec.beta} L={cfg.L} runs={cfg.runs}")
-    traj = mean_trajectory(
-        cfg.L,
-        spec,
-        runs=cfg.runs,
-        master_seed=cfg.seed,
-        schedule=_schedule_for(cfg, "rqc"),
-        prep_T=cfg.prep_T,
-        prep_W=cfg.prep_W,
-        prep_jz=cfg.prep_jz,
-        prep_local=cfg.prep_local,
-        record_baee=cfg.record_baee,
         circuit_samples=cfg.circuit_samples,
         depth=cfg.depth,
     )
     summary = {**traj.meta, "final_hcee": float(traj.hcee[-1])}
     return _finish(
-        "rqc", cfg, traj, summary, t0,
-        f"rqc: L={cfg.L} runs={cfg.runs} final_hcee={traj.hcee[-1]:.6f}",
+        command, cfg, traj, summary, t0,
+        f"{command}: kind={spec.kind} L={cfg.L} runs={cfg.runs} final_hcee={traj.hcee[-1]:.6f}",
     )
 
 
@@ -353,8 +334,8 @@ def _cmd_eigensweep(cfg: RunConfig, t0: float) -> int:
 
 _HANDLERS = {
     "basis": _cmd_basis,
-    "evolve": _cmd_evolve,
-    "rqc": _cmd_rqc,
+    "evolve": partial(_cmd_trajectory, "evolve"),
+    "rqc": partial(_cmd_trajectory, "rqc"),
     "sweep": _cmd_sweep,
     "baee": _cmd_baee,
     "reservoir": _cmd_reservoir,

@@ -16,7 +16,7 @@ Two aggregate quantities drive the experiments:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -107,39 +107,6 @@ def enumerate_bipartitions(L: int) -> tuple[Bipartition, ...]:
     ]
     bips.sort(key=lambda b: b.mask)
     return tuple(bips)
-
-
-@dataclass(eq=False)
-class DensityMatrix:
-    """Reduced density matrix of a subset, stored block by block."""
-
-    subset: tuple[int, ...]
-    block_nup: np.ndarray
-    blocks: list[np.ndarray] = field(repr=False)
-
-    def trace(self) -> float:
-        return float(sum(np.trace(b).real for b in self.blocks))
-
-    def block_eigenvalues(self) -> list[np.ndarray]:
-        return [np.linalg.eigvalsh(b) for b in self.blocks]
-
-
-def reduced_density(state: SectorState, subset) -> DensityMatrix:
-    """Trace out the complement of ``subset`` (1-based sites)."""
-    split = subsystem_split(state.basis, subset)
-    blocks = [Z @ Z.conj().T for Z in split.blocks(state.amplitudes)]
-    return DensityMatrix(
-        subset=split.subset, block_nup=split.block_nup.copy(), blocks=blocks
-    )
-
-
-def von_neumann_entropy(dm: DensityMatrix) -> float:
-    """Entropy in bits of a block-diagonal reduced density matrix."""
-    tr = dm.trace()
-    if abs(tr - 1.0) > _TRACE_TOL:
-        raise NumericError(f"density matrix trace {tr} deviates from 1")
-    w = np.concatenate([np.linalg.eigvalsh(b) for b in dm.blocks])
-    return float(_entropy_from_eigs(w))
 
 
 def subset_entropy(state: SectorState, subset) -> float:

@@ -36,9 +36,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import SectorBasis, enumerate_sector
-from .entanglement import _half_chain_entropies, baee, hcee
-from .errors import NumericError, ParameterError
-from .evolution import (
+# hcee, propagate and floquet_power are unused here: entbench/tracer.py wraps them
+from .entanglement import _half_chain_entropies, baee, hcee  # noqa: F401
+from .errors import ParameterError
+from .evolution import (  # noqa: F401
     SpectralDecomposition,
     Trajectory,
     _apply_circuit,
@@ -54,7 +55,6 @@ from .evolution import (
 )
 from .operators import (
     DisorderFields,
-    OperatorMatrix,
     build_ising_z,
     build_local_cut,
     build_two_qubit_gate,
@@ -192,37 +192,38 @@ def sample_initial_product(basis: SectorBasis, rng: np.random.Generator) -> Sect
     return SectorState.from_word(basis, word)
 
 
-def prepare_thermalized(
-    psi0: SectorState, fields: DisorderFields, T: float, jz: float = DEFAULT_JZ
-) -> SectorState:
-    """Evolve a product state for time ``T`` under the weak-disorder chain."""
-    H = build_xxz(psi0.basis, jz, fields)
-    return propagate(spectral_decompose(H), psi0, T)
+def _preparation(
+    basis: SectorBasis,
+    master_seed: int,
+    run: int,
+    prep_W: float,
+    prep_jz: float,
+    prep_local: bool = False,
+) -> tuple[SectorState, SpectralDecomposition]:
+    """A run's product state and the decomposition of its preparation chain.
 
-
-def prepare_locally_entangled(
-    psi0: SectorState, fields: DisorderFields, T: float, jz: float = DEFAULT_JZ
-) -> SectorState:
-    """Evolve under the centrally severed chain.
-
-    The halves never couple, so the half-chain entropy of the result stays
-    exactly zero while entanglement builds inside each half.
+    The chain is the weakly disordered XXZ chain, or with ``prep_local``
+    the same chain severed at the centre, whose halves never couple.
     """
-    H = build_local_cut(psi0.basis, jz, fields)
-    return propagate(spectral_decompose(H), psi0, T)
+    psi0 = sample_initial_product(basis, derive_rng(master_seed, run, "psi0"))
+    fields = sample_fields(basis.L, prep_W, derive_rng(master_seed, run, "prep"))
+    build = build_local_cut if prep_local else build_xxz
+    return psi0, spectral_decompose(build(basis, prep_jz, fields))
 
 
-def select_eigenstate(H: OperatorMatrix, rank: int) -> SectorState:
-    """Eigenvector of ``H`` by ascending-energy rank (1-based), verified."""
-    decomp = spectral_decompose(H)
-    state = decomp.eigenstate(rank)
-    e = decomp.values[rank - 1]
-    residual = float(
-        np.linalg.norm(H.elements @ state.amplitudes - e * state.amplitudes)
+def _prepared_block(prep: SpectralDecomposition, psi0: SectorState, T_arr) -> np.ndarray:
+    """Columns ``|psi0(T)>`` for every preparation time, one block per run."""
+    return _spectral_apply(prep, psi0.amplitudes[:, None], _phase_factors(prep, T_arr))
+
+
+def _prep_times(T_list) -> np.ndarray:
+    """The preparation times of a sweep, validated."""
+    T_arr = np.asarray(
+        DEFAULT_T_LIST if T_list is None else list(T_list), dtype=np.float64
     )
-    if residual > 1e-9:
-        raise NumericError(f"eigenpair residual {residual} exceeds 1e-9")
-    return state
+    if T_arr.size == 0 or not (T_arr >= 0).all():
+        raise ParameterError("T_list must be nonempty and nonnegative")
+    return T_arr
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +238,28 @@ def _rqc_window(depth: int) -> range:
 
 @dataclass(eq=False)
 class _QuenchEngine:
-    """Per-run quench machinery reused across every preparation time."""
+    """Per-run quench machinery reused across every preparation time.
+
+    Hamiltonian and Floquet kinds carry the quench decomposition; circuits
+    draw their gate sequences on demand, so pure SWAP draws none.
+    """
 
     spec: ProtocolSpec
     basis: SectorBasis
     decomp: SpectralDecomposition | None = None
-    bond_seqs: list[np.ndarray] = field(default_factory=list)
+    master_seed: int = 0
+    run: int = 0
+    circuit_samples: int = CIRCUIT_SAMPLES
     depth: int = RQC_DEPTH
+
+    def circuits(self) -> list[np.ndarray]:
+        """The run's gate sequences, ``depth`` random bonds in 1..L-1 each."""
+        return [
+            derive_rng(self.master_seed, self.run, f"circuit:{m}").integers(
+                1, self.basis.L, size=self.depth
+            )
+            for m in range(self.circuit_samples)
+        ]
 
     def saturation(self, block: np.ndarray) -> np.ndarray:
         """Saturation entropy of every unit column of a ``(dim, m)`` block."""
@@ -266,7 +282,7 @@ class _QuenchEngine:
         u4 = build_two_qubit_gate(self.spec.alpha, self.spec.beta).u
         window = _rqc_window(self.depth)
         means = []
-        for bonds in self.bond_seqs:
+        for bonds in self.circuits():
             amps = block.astype(np.complex128, order="C")
             snaps = [
                 _half_chain_entropies(basis, amps / np.linalg.norm(amps, axis=0))
@@ -284,118 +300,28 @@ def _make_engine(
     circuit_samples: int = CIRCUIT_SAMPLES,
     depth: int = RQC_DEPTH,
 ) -> _QuenchEngine:
+    """The quench of one run: its disorder draw and operator, or circuits."""
     spec = spec.normalized()
-    kind = spec.kind
-    if kind in ("thermal", "hamiltonian_mbl", "anderson", "free_fermion"):
-        fields = sample_fields(
-            basis.L, spec.W, derive_rng(master_seed, run, f"quench:{kind}")
-        )
-        decomp = spectral_decompose(build_xxz(basis, spec.jz, fields))
-        return _QuenchEngine(spec=spec, basis=basis, decomp=decomp)
-    if kind == "floquet_mbl":
-        fields = sample_fields(
-            basis.L, spec.W, derive_rng(master_seed, run, f"quench:{kind}")
-        )
-        H0 = build_ising_z(basis, fields)
-        Hxy = build_xxz(basis, 0.0, DisorderFields.zeros(basis.L))
-        decomp = build_floquet(H0, Hxy, spec.T0, spec.T1)
-        return _QuenchEngine(spec=spec, basis=basis, decomp=decomp)
-    if spec.is_swap:
-        return _QuenchEngine(spec=spec, basis=basis, depth=depth)
-    seqs = [
-        derive_rng(master_seed, run, f"circuit:{m}").integers(1, basis.L, size=depth)
-        for m in range(circuit_samples)
-    ]
-    return _QuenchEngine(spec=spec, basis=basis, bond_seqs=seqs, depth=depth)
-
-
-def saturation_value(
-    initial: SectorState,
-    spec: ProtocolSpec,
-    rng: np.random.Generator,
-    circuit_samples: int = CIRCUIT_SAMPLES,
-    depth: int = RQC_DEPTH,
-) -> float:
-    """Protocol saturation entropy for one prepared state.
-
-    Disorder and circuit randomness are drawn from ``rng``; pure-SWAP
-    circuits consume no randomness (their steady value is exact).
-    """
-    spec = spec.normalized()
-    basis = initial.basis
-    engine = _QuenchEngine(spec=spec, basis=basis, depth=depth)
-    if spec.kind in ("thermal", "hamiltonian_mbl", "anderson", "free_fermion"):
-        fields = sample_fields(basis.L, spec.W, rng)
-        engine.decomp = spectral_decompose(build_xxz(basis, spec.jz, fields))
-    elif spec.kind == "floquet_mbl":
-        fields = sample_fields(basis.L, spec.W, rng)
+    engine = _QuenchEngine(
+        spec=spec,
+        basis=basis,
+        master_seed=master_seed,
+        run=run,
+        circuit_samples=circuit_samples,
+        depth=depth,
+    )
+    if spec.kind == "rqc":
+        return engine
+    fields = sample_fields(
+        basis.L, spec.W, derive_rng(master_seed, run, f"quench:{spec.kind}")
+    )
+    if spec.kind == "floquet_mbl":
         H0 = build_ising_z(basis, fields)
         Hxy = build_xxz(basis, 0.0, DisorderFields.zeros(basis.L))
         engine.decomp = build_floquet(H0, Hxy, spec.T0, spec.T1)
-    elif not spec.is_swap:
-        engine.bond_seqs = [
-            rng.integers(1, basis.L, size=depth) for _ in range(circuit_samples)
-        ]
-    return float(engine.saturation(initial.amplitudes[:, None])[0])
-
-
-def run_protocol(
-    initial: SectorState,
-    spec: ProtocolSpec,
-    rng: np.random.Generator,
-    schedule: np.ndarray | None = None,
-    record_baee: bool = False,
-) -> Trajectory:
-    """One realization of a protocol's entropy trajectory.
-
-    ``schedule`` lists continuous times for Hamiltonian kinds and whole
-    periods/layers for the Floquet map and circuits (defaults: a hybrid
-    linear-then-log grid out to the protocol's saturation scale).
-    """
-    spec = spec.normalized()
-    basis = initial.basis
-    kind = spec.kind
-    if kind == "rqc":
-        if schedule is None:
-            schedule = hybrid_schedule(t_max=RQC_DEPTH, integer=True)
-        marks = np.asarray(schedule, dtype=np.int64)
-        traj = run_rqc(
-            initial,
-            spec.alpha,
-            spec.beta,
-            int(marks.max()),
-            rng=rng,
-            record=marks,
-            record_baee=record_baee,
-        )
-        traj.meta.update(kind=kind)
-        return traj
-    fields = sample_fields(basis.L, spec.W, rng)
-    if kind == "floquet_mbl":
-        H0 = build_ising_z(basis, fields)
-        Hxy = build_xxz(basis, 0.0, DisorderFields.zeros(basis.L))
-        decomp = build_floquet(H0, Hxy, spec.T0, spec.T1)
-        if schedule is None:
-            schedule = hybrid_schedule(t_max=SAT_PERIODS, integer=True)
-        times = np.asarray(schedule, dtype=np.int64)
-        states = (floquet_power(decomp, initial, int(n)) for n in times)
     else:
-        decomp = spectral_decompose(build_xxz(basis, spec.jz, fields))
-        if schedule is None:
-            schedule = hybrid_schedule(t_max=SAT_TIME)
-        times = np.asarray(schedule, dtype=np.float64)
-        states = (propagate(decomp, initial, float(t)) for t in times)
-    s_h, s_b = [], []
-    for st in states:
-        s_h.append(hcee(st))
-        if record_baee:
-            s_b.append(baee(st))
-    return Trajectory(
-        times=times.astype(np.float64),
-        hcee=np.array(s_h),
-        baee=np.array(s_b) if record_baee else None,
-        meta={"kind": kind, "W": spec.W, "jz": spec.jz},
-    )
+        engine.decomp = spectral_decompose(build_xxz(basis, spec.jz, fields))
+    return engine
 
 
 def mean_trajectory(
@@ -417,9 +343,13 @@ def mean_trajectory(
     Each run prepares |psi(prep_T)> from its own product state and
     preparation disorder, then evolves it with the run's quench draw;
     circuits additionally average ``circuit_samples`` gate sequences.
+    ``schedule`` lists times for Hamiltonian kinds and whole periods or
+    layers for the Floquet map and circuits.
     """
     if runs < 1:
         raise ParameterError(f"runs must be positive, got {runs}")
+    if not prep_T >= 0:
+        raise ParameterError(f"prep_T must be nonnegative, got {prep_T}")
     spec = spec.normalized()
     kind = spec.kind
     basis = enumerate_sector(L, 0)
@@ -431,62 +361,48 @@ def mean_trajectory(
         else:
             schedule = hybrid_schedule(t_max=SAT_TIME)
     times = np.asarray(schedule, dtype=np.float64)
-    build_prep = build_local_cut if prep_local else build_xxz
+    # circuits record their snapshots in depth order, so every kind takes
+    # its schedule in increasing order
+    if times.ndim != 1 or times.size == 0 or not (
+        times[0] >= 0 and (np.diff(times) > 0).all()
+    ):
+        raise ParameterError(
+            "schedule must be nonempty, nonnegative and strictly increasing"
+        )
+    steps = times
+    if kind in ("floquet_mbl", "rqc"):
+        if not (times == np.rint(times)).all():
+            raise ParameterError(f"a {kind} schedule counts whole periods or layers")
+        steps = times.astype(np.int64)
     rows_h: list[np.ndarray] = []
     rows_b: list[np.ndarray] = []
-
-    def collect(states):
-        s_h, s_b = [], []
-        for st in states:
-            s_h.append(hcee(st))
-            if record_baee:
-                s_b.append(baee(st))
-        rows_h.append(np.array(s_h))
-        if record_baee:
-            rows_b.append(np.array(s_b))
-
     for run in range(runs):
-        psi0 = sample_initial_product(basis, derive_rng(master_seed, run, "psi0"))
-        prep_fields = sample_fields(
-            basis.L, prep_W, derive_rng(master_seed, run, "prep")
-        )
-        prep = spectral_decompose(build_prep(basis, prep_jz, prep_fields))
-        init = propagate(prep, psi0, prep_T)
+        psi0, prep = _preparation(basis, master_seed, run, prep_W, prep_jz, prep_local)
+        init = _prepared_block(prep, psi0, [prep_T])
         if kind == "rqc":
-            marks = times.astype(np.int64)
-            top = int(marks.max())
-            for m in range(circuit_samples):
-                bonds = derive_rng(master_seed, run, f"circuit:{m}").integers(
-                    1, basis.L, size=top
-                )
+            engine = _make_engine(
+                basis, spec, master_seed, run, circuit_samples, int(steps.max())
+            )
+            start = SectorState(basis, init[:, 0])
+            for bonds in engine.circuits():
                 traj = run_rqc(
-                    init,
+                    start,
                     spec.alpha,
                     spec.beta,
-                    top,
-                    record=marks,
+                    engine.depth,
+                    record=steps,
                     record_baee=record_baee,
                     bonds=bonds,
                 )
                 rows_h.append(traj.hcee)
                 if record_baee:
                     rows_b.append(traj.baee)
-        elif kind == "floquet_mbl":
-            fields = sample_fields(
-                basis.L, spec.W, derive_rng(master_seed, run, f"quench:{kind}")
-            )
-            H0 = build_ising_z(basis, fields)
-            Hxy = build_xxz(basis, 0.0, DisorderFields.zeros(basis.L))
-            decomp = build_floquet(H0, Hxy, spec.T0, spec.T1)
-            collect(
-                floquet_power(decomp, init, int(n)) for n in times.astype(np.int64)
-            )
-        else:
-            fields = sample_fields(
-                basis.L, spec.W, derive_rng(master_seed, run, f"quench:{kind}")
-            )
-            decomp = spectral_decompose(build_xxz(basis, spec.jz, fields))
-            collect(propagate(decomp, init, float(t)) for t in times)
+            continue
+        decomp = _make_engine(basis, spec, master_seed, run).decomp
+        states = _spectral_apply(decomp, init, _phase_factors(decomp, steps))
+        rows_h.append(_half_chain_entropies(basis, states))
+        if record_baee:
+            rows_b.append(np.array([baee(SectorState(basis, c)) for c in states.T]))
     return Trajectory(
         times=times,
         hcee=np.mean(rows_h, axis=0),
@@ -527,11 +443,6 @@ class SweepTable:
         return self.s_sat - self.s_initial
 
 
-def _prepared_block(prep: SpectralDecomposition, psi0: SectorState, T_arr) -> np.ndarray:
-    """Columns ``|psi0(T)>`` for every preparation time, one block per run."""
-    return _spectral_apply(prep, psi0.amplitudes[:, None], _phase_factors(prep, T_arr))
-
-
 def _mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = values.mean(axis=0)
     if values.shape[0] > 1:
@@ -561,21 +472,12 @@ def delta_s_sweep(
     if runs < 1:
         raise ParameterError(f"runs must be positive, got {runs}")
     spec = spec.normalized()
-    T_arr = np.asarray(
-        DEFAULT_T_LIST if T_list is None else list(T_list), dtype=np.float64
-    )
-    if T_arr.size == 0 or (T_arr < 0).any():
-        raise ParameterError("T_list must be nonempty and nonnegative")
+    T_arr = _prep_times(T_list)
     basis = enumerate_sector(L, 0)
-    build_prep = build_local_cut if prep_local else build_xxz
     s_i = np.empty((runs, T_arr.size))
     s_s = np.empty((runs, T_arr.size))
     for run in range(runs):
-        psi0 = sample_initial_product(basis, derive_rng(master_seed, run, "psi0"))
-        prep_fields = sample_fields(
-            basis.L, prep_W, derive_rng(master_seed, run, "prep")
-        )
-        prep = spectral_decompose(build_prep(basis, prep_jz, prep_fields))
+        psi0, prep = _preparation(basis, master_seed, run, prep_W, prep_jz, prep_local)
         engine = _make_engine(basis, spec, master_seed, run, circuit_samples, depth)
         prepared = _prepared_block(prep, psi0, T_arr)
         s_i[run] = _half_chain_entropies(basis, prepared)
@@ -645,19 +547,22 @@ def eigenstate_sweep(
         raise ParameterError(f"runs must be positive, got {runs}")
     spec = spec.normalized()
     basis = enumerate_sector(L, 0)
-    rank_arr = np.asarray(
-        scaled_rank_list(basis.dim) if ranks is None else list(ranks), dtype=np.int64
+    requested = np.asarray(
+        scaled_rank_list(basis.dim) if ranks is None else list(ranks), dtype=np.float64
     )
-    if rank_arr.size == 0 or rank_arr.min() < 1 or rank_arr.max() > basis.dim:
-        raise ParameterError(f"ranks must lie in 1..{basis.dim}")
+    rank_arr = requested.astype(np.int64)
+    if (
+        rank_arr.size == 0
+        or not np.array_equal(rank_arr, requested)
+        or rank_arr.min() < 1
+        or rank_arr.max() > basis.dim
+    ):
+        raise ParameterError(f"ranks must be whole numbers in 1..{basis.dim}")
     s_i = np.empty((runs, rank_arr.size))
     s_s = np.empty((runs, rank_arr.size))
     en = np.empty((runs, rank_arr.size))
     for run in range(runs):
-        prep_fields = sample_fields(
-            basis.L, prep_W, derive_rng(master_seed, run, "prep")
-        )
-        decomp = spectral_decompose(build_xxz(basis, prep_jz, prep_fields))
+        _, decomp = _preparation(basis, master_seed, run, prep_W, prep_jz)
         engine = _make_engine(basis, spec, master_seed, run, circuit_samples, depth)
         states = decomp.vectors[:, rank_arr - 1].astype(np.complex128, order="C")
         states /= np.linalg.norm(states, axis=0)
@@ -724,18 +629,13 @@ def reservoir_curve(
     """
     if runs < 1:
         raise ParameterError(f"runs must be positive, got {runs}")
-    T_arr = np.asarray(
-        DEFAULT_T_LIST if T_list is None else list(T_list), dtype=np.float64
-    )
+    T_arr = _prep_times(T_list)
     basis = enumerate_sector(L, 0)
     h = np.empty((runs, T_arr.size))
     b = np.empty((runs, T_arr.size))
     for run in range(runs):
-        psi0 = sample_initial_product(basis, derive_rng(master_seed, run, "psi0"))
-        fields = sample_fields(basis.L, prep_W, derive_rng(master_seed, run, "prep"))
-        prepared = _prepared_block(
-            spectral_decompose(build_xxz(basis, prep_jz, fields)), psi0, T_arr
-        )
+        psi0, prep = _preparation(basis, master_seed, run, prep_W, prep_jz)
+        prepared = _prepared_block(prep, psi0, T_arr)
         h[run] = _half_chain_entropies(basis, prepared)
         b[run] = [baee(SectorState(basis, col)) for col in prepared.T]
     return ReservoirCurve(

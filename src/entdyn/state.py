@@ -40,23 +40,11 @@ class SectorState:
     def copy(self) -> "SectorState":
         return SectorState(self.basis, self.amplitudes.copy())
 
-    def overlap(self, other: "SectorState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     @classmethod
     def from_word(cls, basis: SectorBasis, word: int) -> "SectorState":
         """The computational basis state for one occupation word."""
         amps = np.zeros(basis.dim, dtype=np.complex128)
         amps[basis.index_of(word)] = 1.0
-        return cls(basis, amps)
-
-    @classmethod
-    def from_index(cls, basis: SectorBasis, ordinal: int) -> "SectorState":
-        """The computational basis state at a sector ordinal."""
-        if not 0 <= ordinal < basis.dim:
-            raise ParameterError(f"ordinal must be in 0..{basis.dim - 1}, got {ordinal}")
-        amps = np.zeros(basis.dim, dtype=np.complex128)
-        amps[ordinal] = 1.0
         return cls(basis, amps)
 
 

@@ -8,7 +8,6 @@ from entdyn.basis import (
     SectorBasis,
     bond_groups,
     enumerate_sector,
-    state_index,
     subsystem_split,
 )
 from entdyn.errors import CapacityError, ParameterError, StateNotInSector
@@ -57,7 +56,7 @@ def test_index_of_rejects_foreign_word(basis8):
     with pytest.raises(StateNotInSector):
         basis8.index_of(0b1)  # popcount 1, not in the n_up=4 sector
     with pytest.raises(StateNotInSector):
-        state_index(basis8, 0b11111111)
+        basis8.index_of(0b11111111)  # popcount 8
 
 
 def test_enumerate_sector_rejects_bad_shapes():

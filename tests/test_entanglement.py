@@ -12,9 +12,7 @@ from entdyn.entanglement import (
     enumerate_bipartitions,
     haar_sector_average,
     hcee,
-    reduced_density,
     subset_entropy,
-    von_neumann_entropy,
     _entropy_from_eigs,
 )
 from entdyn.errors import NumericError, ParameterError
@@ -105,15 +103,6 @@ def test_baee_matches_oracle(rng):
     basis = enumerate_sector(6, 0)
     state = random_sector_state(basis, rng)
     assert abs(baee(state) - oracle_baee(state)) < 1e-12
-
-
-def test_reduced_density_blocks(rng, basis8):
-    state = random_sector_state(basis8, rng)
-    dm = reduced_density(state, (1, 2, 5))
-    assert abs(dm.trace() - 1.0) < 1e-12
-    eigs = dm.block_eigenvalues()
-    assert all(w.min() > -1e-12 for w in eigs)
-    assert abs(von_neumann_entropy(dm) - subset_entropy(state, (1, 2, 5))) < 1e-12
 
 
 def test_bipartition_entropies_batched_matches_scalar(rng, basis8):

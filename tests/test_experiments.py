@@ -20,12 +20,8 @@ from entdyn.experiments import (
     eigenstate_sweep,
     mean_trajectory,
     pooled_disorder_ratios,
-    prepare_locally_entangled,
-    prepare_thermalized,
     reservoir_curve,
     sample_initial_product,
-    saturation_value,
-    select_eigenstate,
 )
 from entdyn.operators import (
     DisorderFields,
@@ -34,7 +30,7 @@ from entdyn.operators import (
     sample_fields,
 )
 from entdyn.evolution import SpectralDecomposition, build_floquet
-from entdyn.state import random_sector_state
+from entdyn.state import SectorState, random_sector_state
 
 BLOCK_T = (0.0, 0.5, 2.0, 10.0, 500.0)
 BLOCK_SPECS = [
@@ -116,57 +112,67 @@ def test_sample_initial_product_is_basis_state(basis8):
 
 
 def test_prepare_thermalized_entangles(basis8):
-    psi0 = sample_initial_product(basis8, derive_rng(0, 1, "psi0"))
+    psi0, prep = experiments._preparation(basis8, 0, 1, 0.5, 0.5)
+    expected = sample_initial_product(basis8, derive_rng(0, 1, "psi0"))
+    assert np.array_equal(psi0.amplitudes, expected.amplitudes)
     fields = sample_fields(8, 0.5, derive_rng(0, 1, "prep"))
-    st0 = prepare_thermalized(psi0, fields, 0.0)
-    assert np.max(np.abs(st0.amplitudes - psi0.amplitudes)) < 1e-12
-    st = prepare_thermalized(psi0, fields, 4.5)
-    assert hcee(st) > 0.3
+    assert np.array_equal(
+        prep.values, spectral_decompose(build_xxz(basis8, 0.5, fields)).values
+    )
+    block = experiments._prepared_block(prep, psi0, [0.0, 4.5])
+    assert np.max(np.abs(block[:, 0] - psi0.amplitudes)) < 1e-12
+    assert hcee(SectorState(basis8, block[:, 1])) > 0.3
 
 
 def test_prepare_locally_entangled_keeps_half_cut_clean(basis8):
-    psi0 = sample_initial_product(basis8, derive_rng(0, 2, "psi0"))
-    fields = sample_fields(8, 0.5, derive_rng(0, 2, "prep"))
-    for T in (1.0, 4.5, 32.0):
-        st = prepare_locally_entangled(psi0, fields, T)
-        assert hcee(st) < 1e-12
-    assert baee(prepare_locally_entangled(psi0, fields, 4.5)) > 0.1
+    psi0, prep = experiments._preparation(basis8, 0, 2, 0.5, 0.5, prep_local=True)
+    block = experiments._prepared_block(prep, psi0, [1.0, 4.5, 32.0])
+    for col in block.T:
+        assert hcee(SectorState(basis8, col)) < 1e-12
+    assert baee(SectorState(basis8, block[:, 1])) > 0.1
 
 
 def test_select_eigenstate(basis8, rng):
     H = build_xxz(basis8, 0.5, sample_fields(8, 5.0, rng))
-    st = select_eigenstate(H, 1)
     d = spectral_decompose(H)
+    st = d.eigenstate(1)
     # rank 1 is the ground state
     res = H.elements @ st.amplitudes - d.values[0] * st.amplitudes
     assert np.max(np.abs(res)) < 1e-9
     with pytest.raises(ParameterError):
-        select_eigenstate(H, 0)
+        d.eigenstate(0)
     with pytest.raises(ParameterError):
-        select_eigenstate(H, basis8.dim + 1)
+        d.eigenstate(basis8.dim + 1)
 
 
-def test_swap_saturation_is_exact_baee_and_draws_nothing(basis8, rng):
+def _saturation(spec, st, seed, **kw):
+    """Saturation of one state under run 0's quench engine."""
+    engine = experiments._make_engine(st.basis, spec, seed, 0, **kw)
+    return float(engine.saturation(st.amplitudes[:, None])[0])
+
+
+def test_swap_saturation_is_exact_baee_and_draws_nothing(basis8, rng, monkeypatch):
     st = random_sector_state(basis8, rng)
-    spec = ProtocolSpec(kind="rqc", alpha=np.pi, beta=np.pi)
-    probe = np.random.default_rng(123)
-    before = probe.bit_generator.state
-    sat = saturation_value(st, spec, probe)
-    assert probe.bit_generator.state == before
+
+    def no_draw(*args):
+        raise AssertionError("pure-SWAP saturation drew randomness")
+
+    monkeypatch.setattr(experiments, "derive_rng", no_draw)
+    sat = _saturation(ProtocolSpec(kind="rqc", alpha=np.pi, beta=np.pi), st, 0)
     assert sat == baee(st)
 
 
 def test_thermal_saturation_matches_documented_draw(basis8, rng):
     st = random_sector_state(basis8, rng)
-    sat = saturation_value(st, ProtocolSpec(kind="thermal"), np.random.default_rng(7))
-    fields = sample_fields(8, 0.5, np.random.default_rng(7))
+    sat = _saturation(ProtocolSpec(kind="thermal"), st, 7)
+    fields = sample_fields(8, 0.5, derive_rng(7, 0, "quench:thermal"))
     d = spectral_decompose(build_xxz(basis8, 0.5, fields))
     assert abs(sat - hcee(propagate(d, st, 1e12))) < 1e-12
 
 
 def test_free_fermion_saturation_is_window_mean(basis8, rng):
     st = random_sector_state(basis8, rng)
-    sat = saturation_value(st, ProtocolSpec(kind="free_fermion"), np.random.default_rng(0))
+    sat = _saturation(ProtocolSpec(kind="free_fermion"), st, 0)
     d = spectral_decompose(build_xxz(basis8, 0.0, DisorderFields.zeros(8)))
     manual = np.mean([hcee(propagate(d, st, t)) for t in FF_WINDOW])
     assert abs(sat - manual) < 1e-12
@@ -175,8 +181,8 @@ def test_free_fermion_saturation_is_window_mean(basis8, rng):
 
 def test_floquet_saturation_matches_documented_draw(basis8, rng):
     st = random_sector_state(basis8, rng)
-    sat = saturation_value(st, ProtocolSpec(kind="floquet_mbl"), np.random.default_rng(9))
-    fields = sample_fields(8, 5.0, np.random.default_rng(9))
+    sat = _saturation(ProtocolSpec(kind="floquet_mbl"), st, 9)
+    fields = sample_fields(8, 5.0, derive_rng(9, 0, "quench:floquet_mbl"))
     F = build_floquet(
         build_ising_z(basis8, fields),
         build_xxz(basis8, 0.0, DisorderFields.zeros(8)),
@@ -189,11 +195,10 @@ def test_floquet_saturation_matches_documented_draw(basis8, rng):
 def test_rqc_saturation_is_window_mean_over_circuits(basis8, rng):
     st = random_sector_state(basis8, rng)
     spec = ProtocolSpec(kind="rqc", alpha=1.0, beta=2.0)
-    sat = saturation_value(st, spec, np.random.default_rng(4), circuit_samples=2, depth=150)
-    manual_rng = np.random.default_rng(4)
+    sat = _saturation(spec, st, 4, circuit_samples=2, depth=150)
     means = []
-    for _ in range(2):
-        bonds = manual_rng.integers(1, 8, size=150)
+    for m in range(2):
+        bonds = derive_rng(4, 0, f"circuit:{m}").integers(1, 8, size=150)
         traj = run_rqc(st, 1.0, 2.0, 150, bonds=bonds, record=range(51, 151))
         means.append(traj.hcee.mean())
     assert abs(sat - np.mean(means)) < 1e-12
@@ -298,6 +303,50 @@ def test_mean_trajectory_rqc_integer_schedule():
     assert traj.meta["realizations"] == 4
 
 
+@pytest.mark.parametrize("kind", BLOCK_SPECS[:5], ids=lambda sp: sp.kind)
+def test_mean_trajectory_block_matches_per_time_loop(kind):
+    spec, L, seed = kind, 6, 2
+    schedule = [0, 1, 7, 300, 10**9] if spec.kind == "floquet_mbl" else [0.0, 0.5, 3.0, 1e4]
+    traj = mean_trajectory(L, spec, runs=2, master_seed=seed, schedule=schedule,
+                           record_baee=True)
+    basis = enumerate_sector(L, 0)
+    h, b = [], []
+    for run in range(2):
+        psi0 = sample_initial_product(basis, derive_rng(seed, run, "psi0"))
+        fields = sample_fields(L, 0.5, derive_rng(seed, run, "prep"))
+        init = propagate(spectral_decompose(build_xxz(basis, 0.5, fields)), psi0, 4.5)
+        d = experiments._make_engine(basis, spec, seed, run).decomp
+        evolve = floquet_power if spec.kind == "floquet_mbl" else propagate
+        states = [evolve(d, init, t) for t in schedule]
+        h.append([hcee(st) for st in states])
+        b.append([baee(st) for st in states])
+    assert traj.times.tolist() == [float(t) for t in schedule]
+    assert np.abs(traj.hcee - np.mean(h, axis=0)).max() < 1e-12
+    assert np.abs(traj.baee - np.mean(b, axis=0)).max() < 1e-12
+
+
+def test_mean_trajectory_rejects_bad_schedules():
+    flo = ProtocolSpec(kind="floquet_mbl")
+    circ = ProtocolSpec(kind="rqc", alpha=1.0, beta=1.0)
+    bad = [
+        (ProtocolSpec(kind="thermal"), []),
+        (ProtocolSpec(kind="thermal"), [0.0, -1.0]),
+        (flo, [0.5, 2.7]),
+        (circ, [0, 10.5]),
+        (circ, [-1, 10]),
+        (circ, [40, 0, 5]),
+        (ProtocolSpec(kind="thermal"), [1.0, 1.0]),
+    ]
+    for spec, schedule in bad:
+        with pytest.raises(ParameterError):
+            mean_trajectory(6, spec, runs=1, schedule=schedule)
+    with pytest.raises(ParameterError):
+        mean_trajectory(6, flo, runs=1, schedule=[0, 2], prep_T=-1.0)
+    # whole periods given as floats are fine
+    traj = mean_trajectory(6, flo, runs=1, schedule=[0.0, 2.0])
+    assert traj.times.tolist() == [0.0, 2.0]
+
+
 def test_eigenstate_sweep_ranks_cover_spectrum():
     spec = ProtocolSpec(kind="hamiltonian_mbl")
     table = eigenstate_sweep(6, spec, runs=2, master_seed=0)
@@ -306,6 +355,9 @@ def test_eigenstate_sweep_ranks_cover_spectrum():
     assert ranks[-1] == 20  # dim of the L=6 sector
     assert np.all(np.diff(ranks) > 0)
     assert table.s_initial.shape == ranks.shape
+    for bad in ([1.5], [0], [21], []):
+        with pytest.raises(ParameterError):
+            eigenstate_sweep(6, spec, ranks=bad, runs=1)
 
 
 def test_reservoir_curve_shapes_and_excess():
@@ -314,6 +366,14 @@ def test_reservoir_curve_shapes_and_excess():
     assert np.array_equal(curve.excess, curve.baee - curve.hcee)
     assert curve.excess[0] < 1e-12  # product states at T=0
     assert curve.argmax_T in (0.0, 2.0, 6.0)
+
+
+def test_reservoir_curve_rejects_bad_t_list():
+    for bad in ([-1.0, 2.0], []):
+        with pytest.raises(ParameterError):
+            reservoir_curve(6, T_list=bad, runs=1)
+        with pytest.raises(ParameterError):
+            delta_s_sweep(6, ProtocolSpec(kind="thermal"), T_list=bad, runs=1)
 
 
 def test_pooled_disorder_ratios_deterministic():
