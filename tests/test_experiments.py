@@ -303,9 +303,9 @@ def test_mean_trajectory_rqc_integer_schedule():
     assert traj.meta["realizations"] == 4
 
 
-@pytest.mark.parametrize("kind", BLOCK_SPECS[:5], ids=lambda sp: sp.kind)
-def test_mean_trajectory_block_matches_per_time_loop(kind):
-    spec, L, seed = kind, 6, 2
+@pytest.mark.parametrize("spec", BLOCK_SPECS[:5], ids=lambda sp: sp.kind)
+def test_mean_trajectory_block_matches_per_time_loop(spec):
+    L, seed = 6, 2
     schedule = [0, 1, 7, 300, 10**9] if spec.kind == "floquet_mbl" else [0.0, 0.5, 3.0, 1e4]
     traj = mean_trajectory(L, spec, runs=2, master_seed=seed, schedule=schedule,
                            record_baee=True)
