@@ -33,6 +33,7 @@ from .experiments import (
     MBL_W,
     SAT_PERIODS,
     ProtocolSpec,
+    circuit_schedule,
     classify_dynamics,
     delta_s_sweep,
     derive_rng,
@@ -111,18 +112,30 @@ def _protocol_from(cfg: RunConfig, default_kind: str | None = None) -> ProtocolS
 
 
 def _schedule_for(cfg: RunConfig, kind: str):
+    if kind == "rqc":
+        # a circuit records up to its last layer, so depth sets t_max
+        if "schedule.t_max" in cfg.seen and cfg.schedule_t_max != cfg.depth:
+            raise ConfigError(
+                f"keys 'depth' and 'schedule.t_max' conflict: a circuit records "
+                f"up to depth = {cfg.depth}, not schedule.t_max = "
+                f"{cfg.schedule_t_max:g}; set depth alone",
+                key="schedule.t_max",
+            )
+        return circuit_schedule(
+            cfg.depth,
+            cfg.schedule_linear_max,
+            cfg.schedule_n_linear,
+            cfg.schedule_n_log,
+        )
     t_max = cfg.schedule_t_max
-    if "schedule.t_max" not in cfg.seen:
-        if kind == "floquet_mbl":
-            t_max = float(SAT_PERIODS)
-        elif kind == "rqc":
-            t_max = float(cfg.depth)
+    if "schedule.t_max" not in cfg.seen and kind == "floquet_mbl":
+        t_max = float(SAT_PERIODS)
     return hybrid_schedule(
         cfg.schedule_linear_max,
         cfg.schedule_n_linear,
         t_max,
         cfg.schedule_n_log,
-        integer=kind in ("floquet_mbl", "rqc"),
+        integer=kind == "floquet_mbl",
     )
 
 

@@ -4,8 +4,9 @@ Three failure families are kept distinct so callers (and the CLI exit-code
 policy) can tell bad input apart from numerical trouble:
 
 * ``ParameterError``   -- invalid arguments or unsupported regimes.
-* ``CapacityError``    -- request exceeds the dense-matrix size this package
-                          is willing to allocate.
+* ``CapacityError``    -- request exceeds what this machine can hold: a
+                          dense step whose estimated peak memory is larger
+                          than physical memory, or a size beyond a fixed cap.
 * ``NumericError``     -- a computation left its validity envelope
                           (non-unitary operator, negative spectral weight,
                           failed convergence).
@@ -24,7 +25,12 @@ class ParameterError(EntdynError, ValueError):
 
 
 class CapacityError(EntdynError, ValueError):
-    """Problem size exceeds what dense storage supports."""
+    """Problem size exceeds what this machine's memory or a fixed cap allows.
+
+    Dense steps estimate their peak before allocating and raise this when
+    the estimate is larger than physical memory, so an oversized run stops
+    up front (CLI exit code 2) instead of running out of memory.
+    """
 
 
 class NumericError(EntdynError, ArithmeticError):

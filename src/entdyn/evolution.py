@@ -26,7 +26,14 @@ from .basis import SectorBasis, bond_groups
 from .entanglement import baee as _baee
 from .entanglement import hcee as _hcee
 from .errors import NumericError, ParameterError
-from .operators import OperatorMatrix, TwoQubitGate, build_two_qubit_gate
+from .operators import (
+    _ROW_BLOCK,
+    OperatorMatrix,
+    TwoQubitGate,
+    _max_abs,
+    _require_dense,
+    build_two_qubit_gate,
+)
 from .state import SectorState
 
 _TWO_PI_LD = np.longdouble("6.283185307179586476925286766559005768394")
@@ -42,7 +49,7 @@ class SpectralDecomposition:
     ``kind`` is ``"hermitian"`` (``values`` are energies) or ``"unitary"``
     (``values`` are eigenphases in (-pi, pi]).  ``values`` ascend and
     ``vectors[:, k]`` is the matching orthonormal eigenvector, float64 for
-    a real symmetric operator and complex otherwise.
+    the hermitian kind and complex for the unitary one.
     """
 
     kind: str
@@ -73,44 +80,59 @@ def _reduced_phases(values: np.ndarray, factor) -> np.ndarray:
     return np.mod(prod, _TWO_PI_LD).astype(np.float64)
 
 
+def _check_hermitian(op: OperatorMatrix) -> None:
+    defect = op.hermiticity_defect()
+    if defect > _HERM_TOL * max(1.0, _max_abs(op.elements)):
+        raise NumericError(f"operator is not hermitian (defect {defect})")
+
+
+def _decompose_owned(op: OperatorMatrix) -> SpectralDecomposition:
+    """:func:`spectral_decompose` in place: overwrites ``op.elements``.
+
+    For the drivers, which hand over the operator they built.  LAPACK writes
+    the eigenvectors over the matrix, so the peak is the matrix and the
+    solver's work space.
+    """
+    _require_dense(op.dim, "decomposition")
+    _check_hermitian(op)
+    H = op.elements
+    d = np.diagonal(H).copy()
+    if np.count_nonzero(H) == np.count_nonzero(d):
+        order = np.argsort(d, kind="stable")
+        H.fill(0.0)
+        H[order, np.arange(op.dim)] = 1.0
+        return SpectralDecomposition(
+            kind="hermitian", basis=op.basis, values=d[order], vectors=H
+        )
+    # H.T is the Fortran view of the symmetric matrix, so it is not copied
+    vals, vecs = scipy.linalg.eigh(
+        H.T, driver="evd", overwrite_a=True, check_finite=False
+    )
+    # C order keeps the GEMMs of _spectral_apply, and so every output,
+    # bit-identical to np.linalg.eigh's vectors
+    return SpectralDecomposition(
+        kind="hermitian",
+        basis=op.basis,
+        values=vals,
+        vectors=np.ascontiguousarray(vecs),
+    )
+
+
 def spectral_decompose(op: OperatorMatrix) -> SpectralDecomposition:
     """Eigendecomposition of a hermitian sector operator, values ascending.
 
-    Exactly diagonal matrices short-circuit to a sort; exactly real
-    symmetric ones use the real solver and keep its float64 vectors.
+    Exactly diagonal matrices short-circuit to a sort; the others go to
+    LAPACK's divide-and-conquer solver.  ``op`` is left unchanged: the
+    solver works on a copy.
     """
-    H = op.elements
-    defect = op.hermiticity_defect()
-    scale = max(1.0, float(np.abs(H).max()))
-    if defect > _HERM_TOL * scale:
-        raise NumericError(f"operator is not hermitian (defect {defect})")
-    d = np.real(np.diag(H)).copy()
-    if np.count_nonzero(H) == np.count_nonzero(np.diagonal(H)):
-        order = np.argsort(d, kind="stable")
-        vectors = np.zeros((op.dim, op.dim), dtype=np.float64)
-        vectors[order, np.arange(op.dim)] = 1.0
-        return SpectralDecomposition(
-            kind="hermitian", basis=op.basis, values=d[order], vectors=vectors
-        )
-    if not H.imag.any():
-        vals, vecs = np.linalg.eigh(H.real)
-    else:
-        vals, vecs = np.linalg.eigh(H)
-    return SpectralDecomposition(
-        kind="hermitian", basis=op.basis, values=vals, vectors=vecs
-    )
+    return _decompose_owned(OperatorMatrix(op.basis, op.elements.copy()))
 
 
 def spectrum(op: OperatorMatrix) -> np.ndarray:
     """Ascending eigenvalues of a hermitian sector operator, values only."""
-    H = op.elements
-    defect = op.hermiticity_defect()
-    scale = max(1.0, float(np.abs(H).max()))
-    if defect > _HERM_TOL * scale:
-        raise NumericError(f"operator is not hermitian (defect {defect})")
-    if not H.imag.any():
-        return np.linalg.eigvalsh(H.real)
-    return np.linalg.eigvalsh(H)
+    _require_dense(op.dim, "spectrum")
+    _check_hermitian(op)
+    return np.linalg.eigvalsh(op.elements)
 
 
 def _phase_factors(decomp: SpectralDecomposition, steps) -> np.ndarray:
@@ -178,13 +200,16 @@ def build_floquet(
     """
     if H0.basis is not Hxy.basis:
         raise ParameterError("H0 and Hxy must share a basis")
+    _require_dense(H0.dim, "Floquet map")
     F = _period_map(H0, Hxy, T0, T1)
-    defect = float(np.abs(F.conj().T @ F - np.eye(F.shape[0])).max())
+    defect = _unitarity_defect(F)
     if defect > _UNITARY_TOL:
         raise NumericError(f"period map is not unitary (defect {defect})")
     T, Z = scipy.linalg.schur(F, output="complex")
+    del F
     lam = np.diag(T).copy()
-    off = np.abs(T - np.diag(lam)).max() if T.size > 1 else 0.0
+    np.fill_diagonal(T, 0.0)
+    off = _max_abs(T)
     if off > _UNITARY_TOL:
         raise NumericError(f"period map is not normal (Schur residue {off})")
     mod_err = float(np.abs(np.abs(lam) - 1.0).max())
@@ -200,20 +225,37 @@ def build_floquet(
     )
 
 
+def _unitarity_defect(F: np.ndarray) -> float:
+    """``max |F^H F - 1|``, formed in row blocks of ``F^H F``."""
+    worst = 0.0
+    for i in range(0, F.shape[0], _ROW_BLOCK):
+        G = F[:, i : i + _ROW_BLOCK].conj().T @ F
+        G[np.arange(G.shape[0]), i + np.arange(G.shape[0])] -= 1.0
+        worst = max(worst, float(np.abs(G).max()))
+    return worst
+
+
 def _period_map(H0: OperatorMatrix, Hxy: OperatorMatrix, T0: float, T1: float) -> np.ndarray:
     """The dense matrix ``exp(-i T0 H0) exp(-i T1 Hxy)``.
 
-    Its own function so that the factors are freed before the Schur step.
+    Its own function so that the factors are freed before the Schur step;
+    each is dropped as soon as the next product no longer needs it.
     """
-    d0 = spectral_decompose(H0)
-    d1 = spectral_decompose(Hxy)
     # complex copies keep these products, and so the eigenphases that a
     # 3e11-period reading amplifies, exactly as with complex eigenvectors
-    V0 = d0.vectors.astype(np.complex128)
+    d1 = spectral_decompose(Hxy)
     V1 = d1.vectors.astype(np.complex128)
-    U1 = (V1 * np.exp(-1j * _reduced_phases(d1.values, T1))) @ V1.conj().T
+    phases1 = np.exp(-1j * _reduced_phases(d1.values, T1))
+    del d1
+    U1 = (V1 * phases1) @ V1.conj().T
+    del V1
+    d0 = spectral_decompose(H0)
+    V0 = d0.vectors.astype(np.complex128)
     phases0 = np.exp(-1j * _reduced_phases(d0.values, T0))
-    return (V0 * phases0) @ (V0.conj().T @ U1)
+    del d0
+    W = V0.conj().T @ U1
+    del U1
+    return (V0 * phases0) @ W
 
 
 def floquet_power(

@@ -36,13 +36,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import SectorBasis, enumerate_sector
-# hcee, propagate and floquet_power are unused here: entbench/tracer.py wraps them
+# hcee, propagate, floquet_power and spectral_decompose are unused here:
+# entbench/tracer.py wraps them
 from .entanglement import _half_chain_entropies, baee, hcee  # noqa: F401
 from .errors import ParameterError
 from .evolution import (  # noqa: F401
     SpectralDecomposition,
     Trajectory,
     _apply_circuit,
+    _decompose_owned,
     _phase_factors,
     _spectral_apply,
     build_floquet,
@@ -55,6 +57,7 @@ from .evolution import (  # noqa: F401
 )
 from .operators import (
     DisorderFields,
+    _require_dense,
     build_ising_z,
     build_local_cut,
     build_two_qubit_gate,
@@ -208,7 +211,7 @@ def _preparation(
     psi0 = sample_initial_product(basis, derive_rng(master_seed, run, "psi0"))
     fields = sample_fields(basis.L, prep_W, derive_rng(master_seed, run, "prep"))
     build = build_local_cut if prep_local else build_xxz
-    return psi0, spectral_decompose(build(basis, prep_jz, fields))
+    return psi0, _decompose_owned(build(basis, prep_jz, fields))
 
 
 def _prepared_block(prep: SpectralDecomposition, psi0: SectorState, T_arr) -> np.ndarray:
@@ -320,8 +323,34 @@ def _make_engine(
         Hxy = build_xxz(basis, 0.0, DisorderFields.zeros(basis.L))
         engine.decomp = build_floquet(H0, Hxy, spec.T0, spec.T1)
     else:
-        engine.decomp = spectral_decompose(build_xxz(basis, spec.jz, fields))
+        engine.decomp = _decompose_owned(build_xxz(basis, spec.jz, fields))
     return engine
+
+
+def _preflight(basis: SectorBasis, kind: str | None = None) -> None:
+    """Refuse a run up front if its largest dense step exceeds memory.
+
+    That step is the Floquet map for ``floquet_mbl`` and one decomposition
+    for every other driver.  The drivers drop each set of eigenvectors (and
+    the engine holding one) as soon as it is used, so no step runs while
+    another step's dim x dim results are still held.
+    """
+    _require_dense(basis.dim, "Floquet map" if kind == "floquet_mbl" else "decomposition")
+
+
+def circuit_schedule(
+    depth: int, linear_max: float = 10.0, n_linear: int = 10, n_log: int = 28
+) -> np.ndarray:
+    """The layers a circuit of ``depth`` layers records by default.
+
+    :func:`hybrid_schedule` up to ``depth``, or every layer ``0..depth``
+    when ``depth <= linear_max``.
+    """
+    if depth < 1:
+        raise ParameterError(f"depth must be positive, got {depth}")
+    if depth <= linear_max:
+        return np.arange(depth + 1, dtype=np.int64)
+    return hybrid_schedule(linear_max, n_linear, depth, n_log, integer=True)
 
 
 def mean_trajectory(
@@ -353,9 +382,10 @@ def mean_trajectory(
     spec = spec.normalized()
     kind = spec.kind
     basis = enumerate_sector(L, 0)
+    _preflight(basis, kind)
     if schedule is None:
         if kind == "rqc":
-            schedule = hybrid_schedule(t_max=depth, integer=True)
+            schedule = circuit_schedule(depth)
         elif kind == "floquet_mbl":
             schedule = hybrid_schedule(t_max=SAT_PERIODS, integer=True)
         else:
@@ -379,6 +409,7 @@ def mean_trajectory(
     for run in range(runs):
         psi0, prep = _preparation(basis, master_seed, run, prep_W, prep_jz, prep_local)
         init = _prepared_block(prep, psi0, [prep_T])
+        del prep
         if kind == "rqc":
             engine = _make_engine(
                 basis, spec, master_seed, run, circuit_samples, int(steps.max())
@@ -400,6 +431,7 @@ def mean_trajectory(
             continue
         decomp = _make_engine(basis, spec, master_seed, run).decomp
         states = _spectral_apply(decomp, init, _phase_factors(decomp, steps))
+        del decomp
         rows_h.append(_half_chain_entropies(basis, states))
         if record_baee:
             rows_b.append(np.array([baee(SectorState(basis, c)) for c in states.T]))
@@ -474,14 +506,17 @@ def delta_s_sweep(
     spec = spec.normalized()
     T_arr = _prep_times(T_list)
     basis = enumerate_sector(L, 0)
+    _preflight(basis, spec.kind)
     s_i = np.empty((runs, T_arr.size))
     s_s = np.empty((runs, T_arr.size))
     for run in range(runs):
         psi0, prep = _preparation(basis, master_seed, run, prep_W, prep_jz, prep_local)
-        engine = _make_engine(basis, spec, master_seed, run, circuit_samples, depth)
         prepared = _prepared_block(prep, psi0, T_arr)
+        del prep
         s_i[run] = _half_chain_entropies(basis, prepared)
+        engine = _make_engine(basis, spec, master_seed, run, circuit_samples, depth)
         s_s[run] = engine.saturation(prepared)
+        del engine
     mi, ei = _mean_stderr(s_i)
     ms, es = _mean_stderr(s_s)
     return SweepTable(
@@ -547,6 +582,7 @@ def eigenstate_sweep(
         raise ParameterError(f"runs must be positive, got {runs}")
     spec = spec.normalized()
     basis = enumerate_sector(L, 0)
+    _preflight(basis, spec.kind)
     requested = np.asarray(
         scaled_rank_list(basis.dim) if ranks is None else list(ranks), dtype=np.float64
     )
@@ -563,12 +599,14 @@ def eigenstate_sweep(
     en = np.empty((runs, rank_arr.size))
     for run in range(runs):
         _, decomp = _preparation(basis, master_seed, run, prep_W, prep_jz)
-        engine = _make_engine(basis, spec, master_seed, run, circuit_samples, depth)
         states = decomp.vectors[:, rank_arr - 1].astype(np.complex128, order="C")
-        states /= np.linalg.norm(states, axis=0)
         en[run] = decomp.values[rank_arr - 1]
+        del decomp
+        states /= np.linalg.norm(states, axis=0)
         s_i[run] = _half_chain_entropies(basis, states)
+        engine = _make_engine(basis, spec, master_seed, run, circuit_samples, depth)
         s_s[run] = engine.saturation(states)
+        del engine
     mi, ei = _mean_stderr(s_i)
     ms, es = _mean_stderr(s_s)
     return EigensweepTable(
@@ -631,11 +669,13 @@ def reservoir_curve(
         raise ParameterError(f"runs must be positive, got {runs}")
     T_arr = _prep_times(T_list)
     basis = enumerate_sector(L, 0)
+    _preflight(basis)
     h = np.empty((runs, T_arr.size))
     b = np.empty((runs, T_arr.size))
     for run in range(runs):
         psi0, prep = _preparation(basis, master_seed, run, prep_W, prep_jz)
         prepared = _prepared_block(prep, psi0, T_arr)
+        del prep
         h[run] = _half_chain_entropies(basis, prepared)
         b[run] = [baee(SectorState(basis, col)) for col in prepared.T]
     return ReservoirCurve(

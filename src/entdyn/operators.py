@@ -22,6 +22,7 @@ through ``exp(i beta/4) [cos(alpha/2) I - i sin(alpha/2) X]``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,20 +32,65 @@ from .basis import SectorBasis, bond_groups
 from .errors import CapacityError, ParameterError
 from .state import SectorState
 
-_MAX_DENSE_DIM = 12870  # half filling at L = 16
 _ANGLE_TOL = 1e-12
+# Rows per pass of the full-matrix guards: their temporaries are (64, dim),
+# not dim x dim.  At dim 924, 256 rows left 0.56 matrices of freed blocks
+# resident through the decomposition; at dim 3432 the hermiticity check
+# took 0.22 s with 64 rows and 0.21 s with 256.
+_ROW_BLOCK = 64
+
+
+# Peak of each dense step in real dim x dim matrices, the operators included:
+# dsyevd overwrites the operator with its eigenvectors and needs two more for
+# work space; eigvalsh works on a copy; building H0, Hxy and their Floquet
+# map and taking its complex Schur form raised the peak by 13.5 matrices at
+# dim 924 and 12.1 at dim 3432.
+_PEAK_MATRICES = {"operator": 1, "decomposition": 3, "spectrum": 2, "Floquet map": 14}
+# Doubles per row on top: the solver's vectors, the guards' row blocks and
+# the pages that BLAS touches in its own buffers.  A decomposition at dim 924
+# raised the peak by 3.53 matrices, 3 and about 490 doubles per row.
+_PEAK_ROW_DOUBLES = 1024
+
+
+def _memory_budget() -> int:
+    """Bytes of physical memory, the budget of every dense step."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _dense_peak(dim: int, step: str) -> int:
+    """Estimated peak bytes of one dense ``step`` at dimension ``dim``."""
+    return 8 * dim * (_PEAK_MATRICES[step] * dim + _PEAK_ROW_DOUBLES)
+
+
+def _require_dense(dim: int, step: str) -> None:
+    """Raise ``CapacityError`` before a dense ``step`` that memory cannot hold."""
+    need, budget = _dense_peak(dim, step), _memory_budget()
+    if need > budget:
+        raise CapacityError(
+            f"the {step} at dimension {dim} needs about {need / 2**30:.2f} GiB, "
+            f"more than the {budget / 2**30:.2f} GiB of physical memory"
+        )
 
 
 @dataclass(eq=False)
 class OperatorMatrix:
-    """A dense operator on one sector basis."""
+    """A dense real symmetric operator on one sector basis, stored as float64.
+
+    Every Hamiltonian of the package is real in the sector basis, so a
+    matrix with a nonzero imaginary part is rejected.
+    """
 
     basis: SectorBasis
     elements: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         d = self.basis.dim
-        el = np.ascontiguousarray(self.elements, dtype=np.complex128)
+        el = np.asarray(self.elements)
+        if np.iscomplexobj(el):
+            if el.imag.any():
+                raise ParameterError("operator elements must be real")
+            el = el.real
+        el = np.ascontiguousarray(el, dtype=np.float64)
         if el.shape != (d, d):
             raise ParameterError(f"elements must be ({d}, {d}), got {el.shape}")
         self.elements = el
@@ -54,7 +100,20 @@ class OperatorMatrix:
         return self.basis.dim
 
     def hermiticity_defect(self) -> float:
-        return float(np.abs(self.elements - self.elements.conj().T).max())
+        """``max |H - H^T|``, read in row blocks."""
+        H = self.elements
+        return max(
+            float(np.abs(H[i : i + _ROW_BLOCK] - H[:, i : i + _ROW_BLOCK].T).max())
+            for i in range(0, self.dim, _ROW_BLOCK)
+        )
+
+
+def _max_abs(M: np.ndarray) -> float:
+    """``max |M|`` of a 2-d array, read in row blocks."""
+    return max(
+        float(np.abs(M[i : i + _ROW_BLOCK]).max())
+        for i in range(0, M.shape[0], _ROW_BLOCK)
+    )
 
 
 @dataclass(frozen=True)
@@ -102,15 +161,12 @@ def _build_chain(
     zz_bonds: dict[int, float],
     h: np.ndarray,
 ) -> OperatorMatrix:
-    if basis.dim > _MAX_DENSE_DIM:
-        raise CapacityError(
-            f"dense operators support dim <= {_MAX_DENSE_DIM}, got {basis.dim}"
-        )
+    _require_dense(basis.dim, "operator")
     sz = _sz_table(basis)
     diag = sz @ h
     for bond, c in zz_bonds.items():
         diag = diag + c * sz[:, bond - 1] * sz[:, bond]
-    H = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    H = np.zeros((basis.dim, basis.dim), dtype=np.float64)
     np.fill_diagonal(H, diag)
     for bond, c in flip_bonds.items():
         _, _, ud, du = bond_groups(basis, bond)

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from entdyn import experiments, operators
+from entdyn.basis import enumerate_sector
 from entdyn.cli import cli
 from entdyn.config import (
     RunConfig,
@@ -252,6 +254,42 @@ def test_cli_rqc_requires_rqc_kind(tmp_path, capsys):
     cfg.write_text("L = 6\nruns = 1\nprotocol.kind = thermal\n")
     assert cli(["rqc", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+def test_cli_shallow_rqc_and_conflicting_schedule(tmp_path, capsys):
+    base = "L = 6\nruns = 1\nprotocol.kind = rqc\nprotocol.alpha = 2.2\nprotocol.beta = 0.8\n"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(base + "depth = 8\n")
+    out = tmp_path / "res"
+    assert cli(["rqc", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == list(range(9))
+    capsys.readouterr()
+    cfg.write_text(base + "depth = 8\nschedule.t_max = 50\n")
+    assert cli(["rqc", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'depth'" in err and "'schedule.t_max'" in err
+
+
+def test_cli_refuses_what_memory_cannot_hold(tmp_path, capsys, monkeypatch):
+    # with 8 GiB, an L = 16 Floquet map (estimated at 17 GiB) is refused up
+    # front, and an L = 16 decomposition (3.8 GiB) is not
+    monkeypatch.setattr(operators, "_memory_budget", lambda: 8 << 30)
+    # refusing up front means before the first run builds anything
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the refusal")
+
+    monkeypatch.setattr(experiments, "_preparation", no_run)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("L = 16\nruns = 1\nprotocol.kind = floquet_mbl\nT_list = 4.5\n")
+    assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+    assert "Floquet map at dimension 12870" in capsys.readouterr().err
+    experiments._preflight(enumerate_sector(16, 0), "thermal")
+    # the reservoir command refuses too once the budget is below its peak
+    monkeypatch.setattr(operators, "_memory_budget", lambda: 100 << 20)
+    assert cli(["reservoir", "--L", "14", "--runs", "1", "--out", str(tmp_path / "r")]) == 2
+    assert "decomposition at dimension 3432" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists() and not (tmp_path / "r").exists()
 
 
 def test_cli_sweep_small_end_to_end(tmp_path, capsys):

@@ -1,12 +1,18 @@
+import os
+import subprocess
+import sys
 from decimal import Decimal, getcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entdyn
+from entdyn import evolution, operators
 from entdyn.basis import enumerate_sector
 from entdyn.entanglement import hcee, subset_entropy
 from entdyn.entanglement import Bipartition
-from entdyn.errors import NumericError, ParameterError
+from entdyn.errors import CapacityError, NumericError, ParameterError
 from entdyn.evolution import (
     build_floquet,
     floquet_power,
@@ -66,6 +72,103 @@ def test_diagonal_fast_path(rng):
 def test_spectrum_matches_decompose(rng):
     basis, H = _sector_h(6, 0.5, rng)
     assert np.allclose(spectrum(H), spectral_decompose(H).values, atol=1e-12)
+
+
+def _run_one_thread(code: str) -> str:
+    """Run ``code`` in a fresh interpreter with one BLAS thread; its stdout.
+
+    numpy and scipy each bundle their own BLAS, and with several threads the
+    two may split a product differently, which moves the last bits.
+    """
+    env = dict(os.environ)
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(Path(entdyn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    p = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert p.returncode == 0, p.stderr
+    return p.stdout
+
+
+def test_owned_decomposition_matches_numpy_bitwise():
+    code = """
+import numpy as np
+from entdyn.basis import enumerate_sector
+from entdyn.evolution import _decompose_owned
+from entdyn.operators import build_xxz, sample_fields
+basis = enumerate_sector(10, 0)
+for W, jz in [(0.5, 0.5), (5.0, 0.5), (0.0, 0.0)]:  # thermal, MBL, free fermions
+    H = build_xxz(basis, jz, sample_fields(10, W, np.random.default_rng(4)))
+    vals, vecs = np.linalg.eigh(H.elements)
+    d = _decompose_owned(H)
+    print(np.array_equal(d.values, vals), np.array_equal(d.vectors, vecs),
+          d.vectors.flags.c_contiguous)
+"""
+    lines = _run_one_thread(code).split("\n")[:3]
+    assert lines == ["True True True"] * 3
+
+
+def test_public_decompose_copies_and_owned_overwrites(rng):
+    basis, H = _sector_h(8, 0.5, rng)
+    before = H.elements.copy()
+    d = spectral_decompose(H)
+    assert np.array_equal(H.elements, before)
+    # the solver wrote its (Fortran-ordered) vectors over the matrix itself
+    owned = evolution._decompose_owned(H)
+    assert np.array_equal(owned.values, d.values)
+    assert np.array_equal(H.elements.T, owned.vectors)
+
+
+def test_dense_steps_refuse_beyond_the_memory_budget(rng, monkeypatch):
+    basis, H = _sector_h(6, 0.5, rng)
+    Hxy = build_xxz(basis, 0.0, DisorderFields.zeros(6))
+    # a budget that holds a spectrum, which needs one copy of the operator,
+    # but not a decomposition, which needs two matrices of work space
+    budget = operators._dense_peak(basis.dim, "spectrum")
+    monkeypatch.setattr(operators, "_memory_budget", lambda: budget)
+    assert np.array_equal(spectrum(H), np.linalg.eigvalsh(H.elements))
+    with pytest.raises(CapacityError):
+        spectral_decompose(H)
+    with pytest.raises(CapacityError):
+        build_floquet(H, Hxy)
+    budget = operators._dense_peak(basis.dim, "operator") - 1
+    monkeypatch.setattr(operators, "_memory_budget", lambda: budget)
+    with pytest.raises(CapacityError):
+        build_xxz(basis, 0.5, DisorderFields.zeros(6))
+
+
+@pytest.mark.parametrize(
+    "step, call",
+    [
+        ("decomposition", "_preparation({basis}, 0, 0, 0.5, 0.5)"),
+        ("Floquet map", "_make_engine({basis}, ProtocolSpec(kind='floquet_mbl'), 0, 0)"),
+    ],
+    ids=["decomposition", "floquet"],
+)
+def test_dense_peak_estimate_is_honest(step, call):
+    # The estimate may be loose, never below what the step really takes.
+    # The child reads its peak from VmHWM: its ru_maxrss starts at this
+    # process's peak, which the kernel carries over when it is spawned.
+    code = f"""
+from entdyn.basis import enumerate_sector
+from entdyn.operators import _dense_peak
+from entdyn.experiments import ProtocolSpec, _make_engine, _preparation
+
+def peak():
+    with open("/proc/self/status") as f:
+        line = next(x for x in f if x.startswith("VmHWM:"))
+    return int(line.split()[1]) * 1024
+
+{call.format(basis="enumerate_sector(4, 0)")}  # BLAS and import warm-up
+basis = enumerate_sector(12, 0)
+before = peak()
+{call.format(basis="basis")}
+print(peak() - before, _dense_peak(basis.dim, "{step}"), 8 * basis.dim**2)
+"""
+    rise, estimate, matrix = map(int, _run_one_thread(code).split())
+    assert 3 * matrix <= rise <= estimate
 
 
 def test_propagate_matches_expm(rng):
@@ -165,6 +268,18 @@ def test_floquet_matches_expm_oracle(rng):
     assert np.max(np.abs(got.amplitudes - U @ state.amplitudes)) < 1e-8
     got3 = floquet_power(F, state, 3)
     assert np.max(np.abs(got3.amplitudes - U @ (U @ (U @ state.amplitudes)))) < 1e-8
+
+
+def test_floquet_guards_read_the_last_partial_block(basis6, monkeypatch):
+    # 100 rows: the second row block of F^H F is partial
+    F = np.eye(100, dtype=complex)
+    F[-1, -2] = 1e-3
+    full = np.abs(F.conj().T @ F - np.eye(100)).max()
+    assert evolution._unitarity_defect(F) == full == 1e-3
+    H = OperatorMatrix(basis6, np.eye(basis6.dim))
+    monkeypatch.setattr(evolution, "_period_map", lambda *a: 1.001 * np.eye(basis6.dim))
+    with pytest.raises(NumericError):
+        build_floquet(H, H)
 
 
 def test_floquet_zero_times_is_identity(rng):

@@ -347,6 +347,17 @@ def test_mean_trajectory_rejects_bad_schedules():
     assert traj.times.tolist() == [0.0, 2.0]
 
 
+def test_shallow_circuit_records_every_layer():
+    circ = ProtocolSpec(kind="rqc", alpha=2.2, beta=0.8)
+    traj = mean_trajectory(6, circ, runs=1, depth=8)
+    assert traj.times.tolist() == list(range(9))
+    assert experiments.circuit_schedule(10).tolist() == list(range(11))
+    deep = experiments.circuit_schedule(2000)
+    assert deep[0] == 0 and deep[-1] == 2000 and deep.size < 2001
+    with pytest.raises(ParameterError):
+        experiments.circuit_schedule(0)
+
+
 def test_eigenstate_sweep_ranks_cover_spectrum():
     spec = ProtocolSpec(kind="hamiltonian_mbl")
     table = eigenstate_sweep(6, spec, runs=2, master_seed=0)
@@ -447,9 +458,9 @@ def test_block_path_guards_norm_drift(kind, monkeypatch):
     with pytest.raises(NumericError):
         engine.saturation(block)
     # the preparation block is guarded the same way
-    decompose = experiments.spectral_decompose
+    decompose = experiments._decompose_owned
     monkeypatch.setattr(
-        experiments, "spectral_decompose", lambda op: _scaled(decompose(op))
+        experiments, "_decompose_owned", lambda op: _scaled(decompose(op))
     )
     with pytest.raises(NumericError):
         delta_s_sweep(8, spec, T_list=BLOCK_T, runs=1)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from entdyn import operators
 from entdyn.basis import enumerate_sector
 from entdyn.entanglement import hcee
 from entdyn.errors import ParameterError
 from entdyn.operators import (
     DisorderFields,
+    OperatorMatrix,
     apply_gate,
     build_ising_z,
     build_local_cut,
@@ -78,6 +80,40 @@ def test_hermiticity(rng):
     basis = enumerate_sector(8, 0)
     H = build_xxz(basis, 0.5, sample_fields(8, 5.0, rng))
     assert H.hermiticity_defect() < 1e-14
+
+
+def test_hamiltonians_store_float64(rng):
+    basis = enumerate_sector(6, 0)
+    fields = sample_fields(6, 5.0, rng)
+    for H in (
+        build_xxz(basis, 0.5, fields),
+        build_ising_z(basis, fields),
+        build_local_cut(basis, 0.5, fields),
+    ):
+        assert H.elements.dtype == np.float64 and H.elements.flags.c_contiguous
+
+
+def test_operator_rejects_imaginary_part(basis6):
+    M = np.zeros((basis6.dim, basis6.dim), dtype=complex)
+    M[0, 0] = 2.0
+    H = OperatorMatrix(basis6, M)
+    assert H.elements.dtype == np.float64 and H.elements[0, 0] == 2.0
+    M[0, 1], M[1, 0] = 1j, -1j
+    with pytest.raises(ParameterError):
+        OperatorMatrix(basis6, M)
+
+
+def test_blocked_guards_read_the_last_partial_block(rng):
+    # dim 924 is not a multiple of the row block, so the last block is partial
+    basis = enumerate_sector(12, 0)
+    H = build_xxz(basis, 0.5, sample_fields(12, 0.5, rng))
+    assert basis.dim % operators._ROW_BLOCK != 0
+    assert H.hermiticity_defect() == 0.0
+    H.elements[-1, -3] += 1e-6
+    H.elements[-2, -1] = -7.0
+    full = H.elements
+    assert H.hermiticity_defect() == np.abs(full - full.T).max()
+    assert operators._max_abs(full) == np.abs(full).max() == 7.0
 
 
 def test_sample_fields_bounds_and_w_zero():
