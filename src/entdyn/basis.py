@@ -10,8 +10,8 @@ word inside the sector is its position in that sorted list.
 because total magnetization is fixed, the coefficient matrix between A and
 its complement is block diagonal, one block per A-side up count.  The split
 records, for every sector ordinal, its flat position in that block layout.
-The map is a bijection, so scattering amplitudes through it is a
-permutation, never a projection.
+The map is a bijection onto ``range(dim)``: a permutation, never a
+projection.
 """
 
 from __future__ import annotations
@@ -134,30 +134,6 @@ class SubsystemSplit:
     block_shape: np.ndarray
     block_offset: np.ndarray
     positions: np.ndarray
-
-    @property
-    def n_blocks(self) -> int:
-        return int(self.block_nup.size)
-
-    @property
-    def size(self) -> int:
-        return int(self.basis.dim)
-
-    def scatter(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Amplitudes rearranged into the flat block layout."""
-        buf = np.zeros(self.size, dtype=np.complex128)
-        buf[self.positions] = amplitudes
-        return buf
-
-    def blocks(self, amplitudes: np.ndarray) -> list[np.ndarray]:
-        """Per-block coefficient matrices of a sector amplitude vector."""
-        buf = self.scatter(amplitudes)
-        out = []
-        for j in range(self.n_blocks):
-            r, c = self.block_shape[j]
-            o = self.block_offset[j]
-            out.append(buf[o : o + r * c].reshape(int(r), int(c)))
-        return out
 
 
 def _split_geometry(basis: SectorBasis, nA: int):

@@ -27,10 +27,8 @@ from .config import (
     with_overrides,
 )
 from .errors import CapacityError, ConfigError, NumericError, ParameterError
-from .evolution import Trajectory, hybrid_schedule
+from .evolution import hybrid_schedule
 from .experiments import (
-    DEFAULT_JZ,
-    MBL_W,
     SAT_PERIODS,
     ProtocolSpec,
     circuit_schedule,
@@ -59,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "evolve": "run-averaged entropy trajectory of a Hamiltonian or Floquet protocol",
         "rqc": "run-averaged entropy trajectory of a random circuit",
         "sweep": "initial vs saturation entropy across preparation times, classified",
-        "baee": "HCEE and BAEE of prepared states across the T list",
         "reservoir": "BAEE - HCEE excess curve along the preparation evolution",
         "markov": "exact and Monte Carlo checks of the SWAP bipartition chain",
         "levelstats": "disorder-pooled level-spacing ratio histogram",
@@ -233,24 +230,6 @@ def _cmd_sweep(cfg: RunConfig, t0: float) -> int:
     )
 
 
-def _cmd_baee(cfg: RunConfig, t0: float) -> int:
-    _progress(f"baee: L={cfg.L} runs={cfg.runs} T-points={len(cfg.T_list)}")
-    curve = reservoir_curve(
-        cfg.L,
-        T_list=cfg.T_list,
-        runs=cfg.runs,
-        master_seed=cfg.seed,
-        prep_W=cfg.prep_W,
-        prep_jz=cfg.prep_jz,
-    )
-    traj = Trajectory(times=curve.T, hcee=curve.hcee, baee=curve.baee, meta=curve.meta)
-    summary = {**curve.meta, "runs": curve.runs, "argmax_T": curve.argmax_T}
-    return _finish(
-        "baee", cfg, traj, summary, t0,
-        f"baee: L={cfg.L} runs={cfg.runs} peak_T={curve.argmax_T:g}",
-    )
-
-
 def _cmd_reservoir(cfg: RunConfig, t0: float) -> int:
     _progress(f"reservoir: L={cfg.L} runs={cfg.runs} T-points={len(cfg.T_list)}")
     curve = reservoir_curve(
@@ -288,18 +267,8 @@ def _cmd_markov(cfg: RunConfig, t0: float) -> int:
 
 
 def _cmd_levelstats(cfg: RunConfig, t0: float) -> int:
-    if cfg.protocol_W is not None:
-        W = cfg.protocol_W
-    elif cfg.protocol_kind is not None:
-        W = _protocol_from(cfg).W
-    else:
-        W = MBL_W
-    if cfg.protocol_jz is not None:
-        jz = cfg.protocol_jz
-    elif cfg.protocol_kind is not None:
-        jz = _protocol_from(cfg).jz
-    else:
-        jz = DEFAULT_JZ
+    spec = _protocol_from(cfg, default_kind="hamiltonian_mbl")
+    W, jz = spec.W, spec.jz
     _progress(f"levelstats: L={cfg.L} W={W} jz={jz} realizations={cfg.runs}")
     sample = pooled_disorder_ratios(
         cfg.L, W, jz=jz, realizations=cfg.runs, master_seed=cfg.seed
@@ -350,7 +319,6 @@ _HANDLERS = {
     "evolve": partial(_cmd_trajectory, "evolve"),
     "rqc": partial(_cmd_trajectory, "rqc"),
     "sweep": _cmd_sweep,
-    "baee": _cmd_baee,
     "reservoir": _cmd_reservoir,
     "markov": _cmd_markov,
     "levelstats": _cmd_levelstats,

@@ -67,7 +67,6 @@ class RunConfig:
     markov_burn_in: int = 10_000
 
     levelstats_bins: int = 25
-    haar_samples: int = 10_000
 
     eigensweep_ranks: tuple[int, ...] | None = None
 
@@ -165,7 +164,6 @@ _SCHEMA: dict[str, tuple[str, object, object]] = {
     "markov.steps": ("markov_steps", _parse_int, str),
     "markov.burn_in": ("markov_burn_in", _parse_int, str),
     "levelstats.bins": ("levelstats_bins", _parse_int, str),
-    "haar.samples": ("haar_samples", _parse_int, str),
     "eigensweep.ranks": ("eigensweep_ranks", _parse_ranks, _fmt_ranks),
 }
 
@@ -218,8 +216,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         bad("markov.steps", "need markov.steps > markov.burn_in >= 0")
     if cfg.levelstats_bins < 1:
         bad("levelstats.bins", "must be positive")
-    if cfg.haar_samples < 2:
-        bad("haar.samples", "need at least 2 samples")
     if cfg.eigensweep_ranks is not None and any(r < 1 for r in cfg.eigensweep_ranks):
         bad("eigensweep.ranks", "ranks must be positive")
     return cfg
@@ -297,8 +293,3 @@ def resolve_heavy(cfg: RunConfig) -> RunConfig:
     if "runs" not in cfg.seen:
         updates["runs"] = 72
     return with_overrides(cfg, **updates)
-
-
-def config_fields() -> tuple[str, ...]:
-    """The documented key set, in emission order."""
-    return tuple(_SCHEMA)

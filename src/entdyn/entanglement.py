@@ -2,11 +2,18 @@
 
 Entropies are von Neumann entropies in bits.  For a state in a fixed
 magnetization sector, the reduced density matrix of a site subset A is
-block diagonal over the A-side up count, so its spectrum is assembled
-block by block; each block's nonzero spectrum is obtained from the Gram
-matrix of the smaller side of the coefficient block.
+block diagonal over the A-side up count, and each block's nonzero
+spectrum is that of the Gram matrix of the smaller side of the
+coefficient block.
 
-Two aggregate quantities drive the experiments:
+Every entropy goes through one kernel, ``_entropies_of_scattered``.  A
+caller scatters the amplitudes of many states (rows) into the block
+layout of ``subsystem_split``; the kernel forms each block's Gram matrices
+for all rows at once, gathers the eigenvalues, checks that each row's
+spectral weight is one, and applies the clip policy.  Three callers feed
+it: ``subset_entropy`` (one state, any subset), ``_half_chain_entropies``
+(many states, the half chain) and ``bipartition_entropies`` (one state,
+many half-size subsets).  Two aggregate quantities drive the experiments:
 
 * ``hcee``  -- entropy of the left half chain, sites 1..L/2.
 * ``baee``  -- entropy averaged over every equal bipartition of the chain,
@@ -22,16 +29,23 @@ from itertools import combinations
 
 import numpy as np
 
-from .basis import SectorBasis, _split_geometry, _subset_positions, subsystem_split
+from .basis import (
+    SectorBasis,
+    _split_geometry,
+    _subset_positions,
+    enumerate_sector,
+    subsystem_split,
+)
 from .errors import NumericError, ParameterError
-from .state import SectorState
+from .state import _NORM_TOL, SectorState
 
 _EIG_TOL = 1e-12
-_TRACE_TOL = 1e-8
+# a state whose norm SectorState accepts has spectral weight within this of 1
+_TRACE_TOL = (1.0 + _NORM_TOL) ** 2 - 1.0 + 1e-12
 
 
-def _entropy_from_eigs(w: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    """Shannon entropy (bits) of eigenvalue arrays with the clip policy.
+def _entropy_from_eigs(w: np.ndarray) -> np.ndarray:
+    """Shannon entropy (bits) along the last axis, with the clip policy.
 
     Eigenvalues in (-1e-12, 0) are rounding debris and clip to zero; more
     negative values indicate a real defect and raise ``NumericError``.
@@ -43,9 +57,7 @@ def _entropy_from_eigs(w: np.ndarray, axis: int | None = None) -> np.ndarray | f
         )
     p = np.clip(w, 0.0, None)
     logs = np.log2(p, where=p > 0, out=np.zeros_like(p))
-    if axis is None:
-        return float(-(p * logs).sum())
-    return -(p * logs).sum(axis=axis)
+    return -(p * logs).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -109,95 +121,73 @@ def enumerate_bipartitions(L: int) -> tuple[Bipartition, ...]:
     return tuple(bips)
 
 
-def subset_entropy(state: SectorState, subset) -> float:
-    """Entropy of a subset without forming the full reduced matrix.
+def _entropies_of_scattered(basis: SectorBasis, buf: np.ndarray, nA: int) -> np.ndarray:
+    """Entropy of every row of ``buf``, laid out in the size-``nA`` block order.
 
-    Each coefficient block contributes the spectrum of the Gram matrix of
-    its smaller side; rank-one blocks contribute their squared norm
-    directly.
+    The one spectral kernel: it forms each block's Gram matrix for all rows
+    at once, gathers every row's block eigenvalues into one ``(m, n)``
+    array, and applies the trace check and the clip policy once per call.
     """
-    split = subsystem_split(state.basis, subset)
+    _, shapes, offsets, _, _ = _split_geometry(basis, nA)
+    m = buf.shape[0]
     parts = []
-    for Z in split.blocks(state.amplitudes):
-        r, c = Z.shape
+    for (r, c), o in zip(shapes.tolist(), offsets.tolist()):
+        Z = buf[:, o : o + r * c].reshape(m, r, c)
         if r == 1 or c == 1:
-            parts.append(np.array([float(np.vdot(Z, Z).real)]))
+            parts.append(np.sum(Z.real**2 + Z.imag**2, axis=(1, 2))[:, None])
         elif r <= c:
-            parts.append(np.linalg.eigvalsh(Z @ Z.conj().T))
+            parts.append(np.linalg.eigvalsh(Z @ Z.conj().transpose(0, 2, 1)))
         else:
-            parts.append(np.linalg.eigvalsh(Z.conj().T @ Z))
-    w = np.concatenate(parts)
-    tr = float(np.clip(w, 0.0, None).sum())
-    if abs(tr - 1.0) > _TRACE_TOL:
-        raise NumericError(f"subset spectral weight {tr} deviates from 1")
-    return float(_entropy_from_eigs(w))
+            parts.append(np.linalg.eigvalsh(Z.conj().transpose(0, 2, 1) @ Z))
+    w = np.concatenate(parts, axis=1)
+    dev = np.abs(np.clip(w, 0.0, None).sum(axis=1) - 1.0)
+    if dev.size and dev.max() > _TRACE_TOL:
+        raise NumericError(f"subset spectral weight deviates from 1 by {dev.max():.3g}")
+    return _entropy_from_eigs(w)
+
+
+def _subset_entropies(basis: SectorBasis, subset, block: np.ndarray) -> np.ndarray:
+    """Entropy of ``subset`` for every unit column of a ``(dim, m)`` block."""
+    split = subsystem_split(basis, subset)
+    buf = np.zeros((block.shape[1], basis.dim), dtype=np.complex128)
+    buf[:, split.positions] = block.T
+    return _entropies_of_scattered(basis, buf, len(split.subset))
+
+
+def subset_entropy(state: SectorState, subset) -> float:
+    """Entropy of a subset without forming the full reduced matrix."""
+    return float(_subset_entropies(state.basis, subset, state.amplitudes[:, None])[0])
 
 
 def hcee(state: SectorState) -> float:
     """Half-chain entanglement entropy, subset = sites 1..L/2."""
-    return subset_entropy(state, tuple(range(1, state.basis.L // 2 + 1)))
-
-
-# ---------------------------------------------------------------------------
-# batched half-size entropies (bipartition averaging, Haar sampling)
-# ---------------------------------------------------------------------------
-
-
-def _half_blocks(basis: SectorBasis):
-    """(shapes, offsets) shared by every half-size subset of the sector."""
-    ks, shapes, offsets, _, _ = _split_geometry(basis, basis.L // 2)
-    return ks, shapes, offsets
-
-
-def _entropies_of_scattered(basis: SectorBasis, buf: np.ndarray) -> np.ndarray:
-    """Entropies of rows already laid out in half-split block order."""
-    _, shapes, offsets = _half_blocks(basis)
-    m = buf.shape[0]
-    s = np.zeros(m, dtype=np.float64)
-    tr = np.zeros(m, dtype=np.float64)
-    for (r, c), o in zip(shapes, offsets):
-        r, c, o = int(r), int(c), int(o)
-        Z = buf[:, o : o + r * c].reshape(m, r, c)
-        if r == 1 or c == 1:
-            w = np.sum((Z.real**2 + Z.imag**2), axis=(1, 2))[:, None]
-        elif r <= c:
-            w = np.linalg.eigvalsh(Z @ Z.conj().transpose(0, 2, 1))
-        else:
-            w = np.linalg.eigvalsh(Z.conj().transpose(0, 2, 1) @ Z)
-        s += _entropy_from_eigs(w, axis=-1)
-        tr += np.clip(w, 0.0, None).sum(axis=-1)
-    if tr.size and np.abs(tr - 1.0).max() > _TRACE_TOL:
-        raise NumericError("spectral weight of a batched row deviates from 1")
-    return s
+    return subset_entropy(state, range(1, state.basis.L // 2 + 1))
 
 
 def _half_chain_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
     """Half-chain entropy of every unit column of a ``(dim, m)`` block."""
-    pos = subsystem_split(basis, range(1, basis.L // 2 + 1)).positions
-    buf = np.zeros((block.shape[1], basis.dim), dtype=np.complex128)
-    buf[:, pos] = block.T
-    return _entropies_of_scattered(basis, buf)
+    return _subset_entropies(basis, range(1, basis.L // 2 + 1), block)
 
 
 _POSITIONS_CACHE_MAX_L = 14
 
 
 def _bipartition_positions(basis: SectorBasis, start: int, stop: int) -> np.ndarray:
-    """Positions rows for bipartitions[start:stop] (int32, cached when small)."""
+    """Positions rows for bipartitions[start:stop] (int32, all cached when small)."""
     key = "baee_positions"
-    if basis.L <= _POSITIONS_CACHE_MAX_L:
-        if key not in basis._cache:
-            bips = enumerate_bipartitions(basis.L)
-            mat = np.empty((len(bips), basis.dim), dtype=np.int32)
-            for i, bp in enumerate(bips):
-                mat[i] = _subset_positions(basis, bp.sites)
-            basis._cache[key] = mat
+    if key in basis._cache:
         return basis._cache[key][start:stop]
-    bips = enumerate_bipartitions(basis.L)[start:stop]
+    cache = basis.L <= _POSITIONS_CACHE_MAX_L
+    bips = enumerate_bipartitions(basis.L)
+    if not cache:
+        bips = bips[start:stop]
     mat = np.empty((len(bips), basis.dim), dtype=np.int32)
     for i, bp in enumerate(bips):
         mat[i] = _subset_positions(basis, bp.sites)
-    return mat
+    if not cache:
+        return mat
+    basis._cache[key] = mat
+    return mat[start:stop]
 
 
 def bipartition_entropies(state: SectorState, chunk_size: int = 256) -> np.ndarray:
@@ -213,7 +203,7 @@ def bipartition_entropies(state: SectorState, chunk_size: int = 256) -> np.ndarr
         m = stop - start
         buf = np.zeros((m, basis.dim), dtype=np.complex128)
         buf[rows[:m], pos] = amps
-        out[start:stop] = _entropies_of_scattered(basis, buf)
+        out[start:stop] = _entropies_of_scattered(basis, buf, basis.L // 2)
     return out
 
 
@@ -236,12 +226,9 @@ def haar_sector_average(
     L: int, samples: int, rng: np.random.Generator, batch: int = 1024
 ) -> HaarEstimate:
     """Sample Haar sector states and average their half-chain entropy."""
-    from .basis import enumerate_sector
-
     if samples < 2:
         raise ParameterError(f"need at least 2 samples, got {samples}")
     basis = enumerate_sector(L, 0)
-    pos = _subset_positions(basis, tuple(range(1, L // 2 + 1)))
     values = np.empty(samples, dtype=np.float64)
     done = 0
     while done < samples:
@@ -250,9 +237,7 @@ def haar_sector_average(
             (m, basis.dim)
         )
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        buf = np.zeros((m, basis.dim), dtype=np.complex128)
-        buf[np.arange(m)[:, None], pos[None, :]] = z
-        values[done : done + m] = _entropies_of_scattered(basis, buf)
+        values[done : done + m] = _half_chain_entropies(basis, z.T)
         done += m
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(samples))

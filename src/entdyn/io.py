@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .entanglement import HaarEstimate
 from .errors import ParameterError
 from .evolution import Trajectory
 from .experiments import EigensweepTable, ReservoirCurve, SweepTable
@@ -188,15 +187,6 @@ def write_results(record: RunRecord, out_dir) -> list[Path]:
         stem, body, kind = "reservoir", _reservoir_csv(payload), "csv"
     elif isinstance(payload, BasisDump):
         stem, body, kind = "basis", _basis_csv(payload), "csv"
-    elif isinstance(payload, HaarEstimate):
-        stem = "haar"
-        body = _json_text(_jsonable({
-            "L": payload.L,
-            "mean": payload.mean,
-            "stderr": payload.stderr,
-            "samples": payload.samples,
-        }))
-        kind = "json"
     elif isinstance(payload, dict):
         stem, body, kind = "markov_report", _json_text(_jsonable(payload)), "json"
     else:

@@ -50,6 +50,8 @@ def test_parse_values_and_comments():
 def test_parse_errors_name_the_key():
     with pytest.raises(ConfigError, match="bogus"):
         parse_config("bogus = 3\n")
+    with pytest.raises(ConfigError, match="unknown key 'haar.samples'"):
+        parse_config("haar.samples = 100\n")  # no command reads it
     with pytest.raises(ConfigError, match="runs"):
         parse_config("runs = many\n")
     with pytest.raises(ConfigError, match="L"):
@@ -311,6 +313,21 @@ def test_cli_levelstats_small(tmp_path, capsys):
     assert cli(["levelstats", "--L", "8", "--runs", "3", "--out", str(out)]) == 0
     meta = json.loads((out / "histogram.meta.json").read_text())
     assert meta["W"] == 5.0  # disordered chain is the default subject
+    assert meta["jz"] == 0.5
+    capsys.readouterr()
+
+
+def test_cli_levelstats_takes_the_protocol_defaults(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("L = 8\nruns = 2\nprotocol.kind = thermal\n")
+    out = tmp_path / "ls"
+    assert cli(["levelstats", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "histogram.meta.json").read_text())
+    assert meta["W"] == 0.5 and meta["jz"] == 0.5
+    cfg.write_text("L = 8\nruns = 2\nprotocol.kind = anderson\nprotocol.W = 3.0\n")
+    assert cli(["levelstats", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "histogram.meta.json").read_text())
+    assert meta["W"] == 3.0 and meta["jz"] == 0.0
     capsys.readouterr()
 
 
@@ -326,12 +343,15 @@ def test_cli_eigensweep_small(tmp_path, capsys):
 
 
 def test_cli_baee_and_reservoir_small(tmp_path, capsys):
+    # the reservoir command writes HCEE and BAEE; there is no separate baee command
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("L = 6\nruns = 1\nT_list = 0.0, 4.5\n")
-    out1 = tmp_path / "b"
-    out2 = tmp_path / "r"
-    assert cli(["baee", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert (out1 / "trajectory.csv").read_text().splitlines()[0] == "time,hcee,baee"
-    assert cli(["reservoir", "--config", str(cfg), "--out", str(out2)]) == 0
-    assert (out2 / "reservoir.csv").read_text().splitlines()[0] == "T,hcee,baee,excess"
+    out = tmp_path / "r"
+    assert cli(["reservoir", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "reservoir.csv").read_text().splitlines()[0] == "T,hcee,baee,excess"
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli(["baee", "--config", str(cfg), "--out", str(tmp_path / "b")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'baee'" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()

@@ -14,6 +14,7 @@ from entdyn.entanglement import (
     hcee,
     subset_entropy,
     _entropy_from_eigs,
+    _half_chain_entropies,
 )
 from entdyn.errors import NumericError, ParameterError
 from entdyn.state import SectorState, random_sector_state
@@ -73,9 +74,22 @@ def test_subset_entropy_matches_oracle_all_subsets(rng):
             assert abs(got - want) < 1e-12
 
 
-def test_hcee_is_half_chain_cut(rng, basis8):
-    state = random_sector_state(basis8, rng)
-    assert abs(hcee(state) - subset_entropy(state, (1, 2, 3, 4))) < 1e-14
+def _unit_columns(basis, rng, m):
+    z = rng.standard_normal((basis.dim, m)) + 1j * rng.standard_normal((basis.dim, m))
+    z[:, 0] = z[:, 0].real  # real columns, as real eigenvectors give
+    return z / np.linalg.norm(z, axis=0)
+
+
+def test_hcee_is_half_chain_cut(rng):
+    # one entropy route: batched and single-state readings agree exactly
+    for L in (8, 10, 12):
+        basis = enumerate_sector(L, 0)
+        block = _unit_columns(basis, rng, 5)
+        batched = _half_chain_entropies(basis, block)
+        for j in range(block.shape[1]):
+            state = SectorState(basis, block[:, j])
+            assert batched[j] == hcee(state)
+            assert hcee(state) == subset_entropy(state, range(1, L // 2 + 1))
 
 
 def test_basis_state_has_zero_entropy(basis8):
@@ -105,16 +119,17 @@ def test_baee_matches_oracle(rng):
     assert abs(baee(state) - oracle_baee(state)) < 1e-12
 
 
-def test_bipartition_entropies_batched_matches_scalar(rng, basis8):
-    state = random_sector_state(basis8, rng)
-    ent = bipartition_entropies(state)
-    cuts = enumerate_bipartitions(8)
-    assert ent.shape == (len(cuts),)
-    for i in (0, 9, 17, 34):
-        assert abs(ent[i] - subset_entropy(state, cuts[i].sites)) < 1e-12
-    # odd chunk size exercises the chunked path
-    ent2 = bipartition_entropies(state, chunk_size=7)
-    assert np.array_equal(ent, ent2)
+def test_bipartition_entropies_batched_matches_scalar(rng):
+    for L in (8, 10, 12):
+        basis = enumerate_sector(L, 0)
+        state = random_sector_state(basis, rng)
+        ent = bipartition_entropies(state)
+        cuts = enumerate_bipartitions(L)
+        assert ent.shape == (len(cuts),)
+        for i, bp in enumerate(cuts):
+            assert ent[i] == subset_entropy(state, bp.sites)
+        # odd chunk size exercises the chunked path
+        assert np.array_equal(ent, bipartition_entropies(state, chunk_size=7))
 
 
 def test_baee_is_mean_of_cut_entropies(rng, basis8):
@@ -140,6 +155,21 @@ def test_haar_average_deterministic():
     a = haar_sector_average(4, 500, np.random.default_rng(5))
     b = haar_sector_average(4, 500, np.random.default_rng(5))
     assert a.mean == b.mean and a.stderr == b.stderr
+
+
+def test_trace_guard_passes_every_accepted_norm(rng, basis8):
+    state = random_sector_state(basis8, rng)
+    for scale in (1 + 9e-9, 1 - 9e-9):
+        scaled = SectorState(basis8, state.amplitudes * scale)
+        assert abs(hcee(scaled) - hcee(state)) < 1e-6
+        assert abs(baee(scaled) - baee(state)) < 1e-6
+
+
+def test_trace_guard_rejects_a_weight_defect(rng, basis8):
+    block = _unit_columns(basis8, rng, 3)
+    block[:, 1] *= 1 + 1e-6
+    with pytest.raises(NumericError, match="spectral weight"):
+        _half_chain_entropies(basis8, block)
 
 
 def test_entropy_guard_rejects_negative_weight():
