@@ -1,8 +1,8 @@
 """Loop-bound kernels in plain numpy.
 
 Only the work that does not map onto dense linear algebra lives here:
-basis enumeration, subset bit packing, two-site gate application and the
-bipartition random walk.
+basis enumeration, subset bit packing, the flip-flop mixing of a two-site
+gate and the bipartition random walk.
 """
 
 from __future__ import annotations
@@ -28,31 +28,20 @@ def pack_bits(words: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cmul(g, x):
-    # complex multiply spelled out in real arithmetic; numpy's fused SIMD
-    # complex product rounds differently from Python's scalar complex
-    # product, which test_gate_mix_matches_scalar_semantics checks bitwise
-    out = np.empty_like(x)
-    out.real = x.real * g.real - x.imag * g.imag
-    out.imag = x.real * g.imag + x.imag * g.real
-    return out
-
-
-def gate_mix(amps: np.ndarray, uu, dd, ud, du, u4: np.ndarray) -> None:
-    """Apply a magnetization-block two-site gate to ``amps`` in place.
+def gate_mix(amps: np.ndarray, ud: np.ndarray, du: np.ndarray, mix: np.ndarray) -> None:
+    """Mix the flip-flop pairs of ``amps`` in place by the 2x2 block ``mix``.
 
     ``amps`` is one state ``(dim,)`` or a block ``(dim, m)`` of states, one
-    per column.  ``uu``/``dd`` index basis states whose bond sites are both
-    up / both down; ``ud``/``du`` are aligned index pairs coupled by the
-    middle block of the 4x4 gate ``u4`` (ordering up-up, up-down, down-up,
-    down-down).
+    per column.  ``ud[k]``/``du[k]`` index a basis state and its partner
+    with the two bond sites exchanged; ``(amps[ud], amps[du])`` becomes
+    ``mix @ (amps[ud], amps[du])``.  Every other amplitude is left alone:
+    with ``mix = TwoQubitGate.mix`` this applies a two-site gate up to its
+    global phase ``u[0, 0]``.
     """
-    amps[uu] = _cmul(u4[0, 0], amps[uu])
-    amps[dd] = _cmul(u4[3, 3], amps[dd])
     a = amps[ud]
     b = amps[du]
-    amps[ud] = _cmul(u4[1, 1], a) + _cmul(u4[1, 2], b)
-    amps[du] = _cmul(u4[2, 1], a) + _cmul(u4[2, 2], b)
+    amps[ud] = mix[0, 0] * a + mix[0, 1] * b
+    amps[du] = mix[1, 0] * a + mix[1, 1] * b
 
 
 def swap_walk(table: np.ndarray, start: int, bonds: np.ndarray, burn_in: int):

@@ -197,10 +197,12 @@ def subsystem_split(basis: SectorBasis, subset) -> SubsystemSplit:
 
 
 def bond_groups(basis: SectorBasis, bond: int):
-    """Index groups coupled by a two-site gate on sites (bond, bond + 1).
+    """Flip-flop partner pairs of the bond between sites (bond, bond + 1).
 
-    Returns ``(uu, dd, ud, du)``: ordinals with both sites up, both down,
-    and the aligned up-down / down-up partner pairs.
+    Returns ``(ud, du)``: the ordinals with the bond sites up-down, and
+    aligned with them the ordinals of the same words with the two bond bits
+    exchanged.  Every other ordinal has equal bond bits, so a two-site
+    gate or hopping term on the bond couples only these pairs.
     """
     if not 1 <= bond <= basis.L - 1:
         raise ParameterError(f"bond must be in 1..{basis.L - 1}, got {bond}")
@@ -209,13 +211,9 @@ def bond_groups(basis: SectorBasis, bond: int):
         return basis._cache[key]
     bi, bj = bond - 1, bond
     w = basis.states
-    si = (w >> bi) & 1
-    sj = (w >> bj) & 1
-    uu = np.flatnonzero((si == 1) & (sj == 1)).astype(np.int64)
-    dd = np.flatnonzero((si == 0) & (sj == 0)).astype(np.int64)
-    ud = np.flatnonzero((si == 1) & (sj == 0)).astype(np.int64)
+    ud = np.flatnonzero(((w >> bi) & 1 == 1) & ((w >> bj) & 1 == 0)).astype(np.int64)
     mask = np.int64((1 << bi) | (1 << bj))
     du = basis.index_many(w[ud] ^ mask)
-    groups = (uu, dd, ud, du)
+    groups = (ud, du)
     basis._cache[key] = groups
     return groups

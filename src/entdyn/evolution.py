@@ -365,7 +365,7 @@ def run_rqc(
     amps = state.amplitudes.copy()
     s_h = []
     s_b = [] if record_baee else None
-    for _ in _apply_circuit(amps, gate.u, basis, bonds, marks):
+    for _ in _apply_circuit(amps, gate, basis, bonds, marks):
         snap = SectorState(basis, amps / np.linalg.norm(amps))
         s_h.append(_hcee(snap))
         if s_b is not None:
@@ -378,19 +378,23 @@ def run_rqc(
     )
 
 
-def _apply_circuit(amps: np.ndarray, u4: np.ndarray, basis: SectorBasis, bonds, marks):
-    """Apply the gate ``u4`` on each of ``bonds`` in turn to ``amps`` in place.
+def _apply_circuit(amps: np.ndarray, gate: TwoQubitGate, basis: SectorBasis, bonds, marks):
+    """Apply ``gate`` on each of ``bonds`` in turn to ``amps`` in place.
 
     ``amps`` is one state ``(dim,)`` or a block of states ``(dim, m)``.
-    The generator pauses (yielding the depth) before the first gate if 0 is
-    in ``marks`` and after every gate whose depth is in ``marks``.
+    Each gate is applied without its global phase ``gate.u[0, 0]`` (see
+    ``TwoQubitGate.mix``), so after ``d`` gates ``amps`` holds the circuit's
+    output divided by ``gate.u[0, 0] ** d``; no entropy reading sees that
+    phase.  The generator pauses (yielding the depth) before the first gate
+    if 0 is in ``marks`` and after every gate whose depth is in ``marks``.
     """
     groups = [bond_groups(basis, b) for b in range(1, basis.L)]
+    mix = gate.mix
     mark_set = set(int(m) for m in marks)
     if 0 in mark_set:
         yield 0
     for d, b in enumerate(bonds, start=1):
-        uu, dd, ud, du = groups[b - 1]
-        _kernels.gate_mix(amps, uu, dd, ud, du, u4)
+        ud, du = groups[b - 1]
+        _kernels.gate_mix(amps, ud, du, mix)
         if d in mark_set:
             yield d

@@ -282,14 +282,14 @@ class _QuenchEngine:
             ])
         if self.spec.is_swap:
             return np.array([baee(SectorState(basis, col)) for col in block.T])
-        u4 = build_two_qubit_gate(self.spec.alpha, self.spec.beta).u
+        gate = build_two_qubit_gate(self.spec.alpha, self.spec.beta)
         window = _rqc_window(self.depth)
         means = []
         for bonds in self.circuits():
             amps = block.astype(np.complex128, order="C")
             snaps = [
                 _half_chain_entropies(basis, amps / np.linalg.norm(amps, axis=0))
-                for _ in _apply_circuit(amps, u4, basis, bonds, window)
+                for _ in _apply_circuit(amps, gate, basis, bonds, window)
             ]
             means.append(np.mean(snaps, axis=0))
         return np.mean(means, axis=0)

@@ -169,7 +169,7 @@ def _build_chain(
     H = np.zeros((basis.dim, basis.dim), dtype=np.float64)
     np.fill_diagonal(H, diag)
     for bond, c in flip_bonds.items():
-        _, _, ud, du = bond_groups(basis, bond)
+        ud, du = bond_groups(basis, bond)
         H[ud, du] += c
         H[du, ud] += c
     return OperatorMatrix(basis=basis, elements=H)
@@ -228,6 +228,12 @@ class TwoQubitGate:
     def label(self) -> str:
         return gate_class(self.alpha, self.beta)
 
+    @property
+    def mix(self) -> np.ndarray:
+        """Flip-flop block ``u[1:3, 1:3] / u[0, 0]``: as ``u[0, 0] == u[3, 3]``,
+        the gate is ``u[0, 0]`` times one that mixes only the ud/du pairs."""
+        return self.u[1:3, 1:3] / self.u[0, 0]
+
 
 def _check_angle(name: str, value: float) -> float:
     v = float(value)
@@ -281,7 +287,7 @@ def gate_class(alpha: float, beta: float) -> str:
 
 def apply_gate(state: SectorState, bond: int, gate: TwoQubitGate) -> SectorState:
     """Apply a two-site gate on sites (bond, bond + 1); returns a new state."""
-    uu, dd, ud, du = bond_groups(state.basis, bond)
+    ud, du = bond_groups(state.basis, bond)
     amps = state.amplitudes.copy()
-    _kernels.gate_mix(amps, uu, dd, ud, du, gate.u)
-    return SectorState(state.basis, amps)
+    _kernels.gate_mix(amps, ud, du, gate.mix)
+    return SectorState(state.basis, gate.u[0, 0] * amps)

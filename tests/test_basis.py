@@ -109,19 +109,19 @@ def test_subset_validation(basis8):
 
 
 def test_bond_groups_partition(basis8):
+    # the lean gate mixes only these pairs; it relies on every other ordinal
+    # having equal bond bits, which a gate with u[0, 0] == u[3, 3] only phases
+    words = basis8.states
     for bond in range(1, 8):
-        uu, dd, ud, du = bond_groups(basis8, bond)
-        total = len(uu) + len(dd) + len(ud) + len(du)
-        assert total == basis8.dim
-        mask_lo = 1 << (bond - 1)
-        mask_hi = 1 << bond
-        words = basis8.states
-        assert np.all((words[uu] & mask_lo > 0) & (words[uu] & mask_hi > 0))
-        assert np.all((words[dd] & mask_lo == 0) & (words[dd] & mask_hi == 0))
-        # du rows are the ud rows with the two bits exchanged
-        assert np.array_equal(
-            np.sort(words[du]), np.sort(words[ud] ^ (mask_lo | mask_hi))
-        )
+        ud, du = bond_groups(basis8, bond)
+        lo = (words >> (bond - 1)) & 1
+        hi = (words >> bond) & 1
+        assert np.all((lo[ud] == 1) & (hi[ud] == 0))
+        # du is ud with the two bond bits swapped, pair by pair
+        assert np.array_equal(words[du], words[ud] ^ ((1 << (bond - 1)) | (1 << bond)))
+        rest = np.setdiff1d(np.arange(basis8.dim), np.concatenate([ud, du]))
+        assert rest.size == basis8.dim - 2 * ud.size
+        assert np.all(lo[rest] == hi[rest])
 
 
 def test_bond_groups_bounds(basis8):

@@ -1,12 +1,15 @@
-"""The plain-numpy kernels against element-by-element Python references."""
+"""The plain-numpy kernels against element-by-element and dense references."""
 
 import itertools
 
 import numpy as np
 
 from entdyn import _kernels
-from entdyn.basis import bond_groups
+from entdyn.evolution import _apply_circuit, run_rqc
 from entdyn.operators import build_two_qubit_gate
+from entdyn.state import random_sector_state
+
+from oracles import dense_gate
 
 
 def test_sector_words_matches_combinations():
@@ -27,30 +30,52 @@ def test_pack_bits_small():
     assert out.tolist() == [0b10, 0b01]
 
 
-def test_gate_mix_matches_scalar_semantics(basis8, rng):
-    gate = build_two_qubit_gate(1.2, 2.7)
+def _circuit(amps, gate, basis, bonds):
+    for _ in _apply_circuit(amps, gate, basis, bonds, []):
+        pass
+    return amps
+
+
+def test_apply_circuit_matches_dense_oracle_up_to_phase(basis8, rng):
+    # generic, SWAP, class A and class C gates
+    bonds = rng.integers(1, 8, size=25)
     amps = rng.normal(size=basis8.dim) + 1j * rng.normal(size=basis8.dim)
-    uu, dd, ud, du = bond_groups(basis8, 3)
-    # element-by-element python complex arithmetic as the reference
-    expected = amps.copy()
-    for i in uu:
-        expected[i] = complex(expected[i]) * complex(gate.u[0, 0])
-    for i in dd:
-        expected[i] = complex(expected[i]) * complex(gate.u[3, 3])
-    for p, q in zip(ud, du):
-        a, b = complex(expected[p]), complex(expected[q])
-        expected[p] = complex(gate.u[1, 1]) * a + complex(gate.u[1, 2]) * b
-        expected[q] = complex(gate.u[2, 1]) * a + complex(gate.u[2, 2]) * b
-    got = amps.copy()
-    _kernels.gate_mix(got, uu, dd, ud, du, gate.u)
-    assert np.array_equal(got, expected)
-    # a (dim, m) block transforms column by column, each like one state
-    block = np.stack([amps, 1j * amps, amps[::-1]], axis=1)
-    _kernels.gate_mix(block, uu, dd, ud, du, gate.u)
-    for k, col in enumerate((amps, 1j * amps, amps[::-1])):
-        one = col.copy()
-        _kernels.gate_mix(one, uu, dd, ud, du, gate.u)
-        assert np.array_equal(block[:, k], one)
+    amps /= np.linalg.norm(amps)
+    cols = (amps, 1j * amps, amps[::-1])
+    for alpha, beta in [(1.2, 2.7), (np.pi, np.pi), (0.0, 1.7), (np.pi, 0.0)]:
+        gate = build_two_qubit_gate(alpha, beta)
+        psi = np.zeros(2**8, dtype=complex)
+        psi[basis8.states] = amps
+        for b in bonds:
+            psi = dense_gate(8, int(b), gate.u) @ psi
+        ones = [_circuit(col.copy(), gate, basis8, bonds) for col in cols]
+        # the lean gate drops the global phase u[0, 0] once per gate
+        phase = gate.u[0, 0] ** bonds.size
+        assert np.max(np.abs(phase * ones[0] - psi[basis8.states])) < 1e-13
+        # a (dim, m) block transforms column by column, each like one state
+        block = _circuit(np.stack(cols, axis=1), gate, basis8, bonds)
+        assert np.array_equal(block, np.stack(ones, axis=1))
+
+
+def test_apply_circuit_calls_gate_mix_once_per_gate(basis8, rng, monkeypatch):
+    # the benchmark counts gates by wrapping the module attribute
+    # _kernels.gate_mix; one call per gate keeps that count meaningful
+    calls = []
+    gate_mix = _kernels.gate_mix
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return gate_mix(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "gate_mix", counted)
+    state = random_sector_state(basis8, rng)
+    run_rqc(state, 1.2, 0.4, 40, rng=np.random.default_rng(2), record=[0, 17, 40])
+    assert calls == [(basis8.dim,)] * 40
+    calls.clear()
+    block = np.stack([state.amplitudes] * 3, axis=1)
+    gate = build_two_qubit_gate(2.2, 0.8)
+    _circuit(block, gate, basis8, rng.integers(1, 8, size=30))
+    assert calls == [(basis8.dim, 3)] * 30
 
 
 def test_swap_walk_matches_python_walk():

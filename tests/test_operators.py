@@ -178,16 +178,18 @@ def test_gate_class_table():
 
 
 def test_apply_gate_matches_dense_oracle(rng):
+    # the public apply_gate keeps the full gate, global phase included:
+    # generic, SWAP and class A gates
     basis = enumerate_sector(6, 0)
     state = random_sector_state(basis, rng)
-    for bond in (1, 3, 5):
-        g = build_two_qubit_gate(1.9, 0.7)
-        out = apply_gate(state, bond, g)
-        dense = dense_gate(6, bond, g.u)
-        psi = np.zeros(2**6, dtype=complex)
-        psi[basis.states] = state.amplitudes
-        expected = (dense @ psi)[basis.states]
-        assert np.max(np.abs(out.amplitudes - expected)) < 1e-13
+    psi = np.zeros(2**6, dtype=complex)
+    psi[basis.states] = state.amplitudes
+    for alpha, beta in [(1.9, 0.7), (np.pi, np.pi), (0.0, 1.7)]:
+        g = build_two_qubit_gate(alpha, beta)
+        for bond in (1, 3, 5):
+            out = apply_gate(state, bond, g)
+            expected = (dense_gate(6, bond, g.u) @ psi)[basis.states]
+            assert np.max(np.abs(out.amplitudes - expected)) < 1e-13
 
 
 def test_apply_gate_worked_transform():
