@@ -1,11 +1,16 @@
 """Exact time evolution: spectral propagation, Floquet maps, random circuits.
 
-Hamiltonian evolution is spectral: decompose once, then any time follows
-from ``psi(t) = V exp(-i E t) V* psi``.  The phase products ``E t`` (and
+Quench evolution is spectral: decompose once, then any time follows from
+``psi(t) = V exp(-i E t) V* psi``.  The phase products ``E t`` (and
 ``n theta`` for Floquet powers) are reduced modulo 2 pi in 80-bit extended
 precision before exponentiation, which keeps the reduction arithmetic
 faithful out to t ~ 1e12 (residual of order 1e-6 rad from the reduction
 itself; the physical dephasing at such times is insensitive to it).
+
+Prepared states are needed only up to T = 500, where a Chebyshev expansion
+of ``exp(-i H T)`` applied to the sparse chain (``_chebyshev_block``) gives
+every T from one recurrence without forming a dense matrix; a cost rule
+(``_chebyshev_wins``) picks it or the decomposition for each preparation.
 
 Floquet maps are diagonalized through a complex Schur factorization.  For a
 unitary (hence normal) matrix the Schur form is diagonal and the transform
@@ -40,6 +45,19 @@ _TWO_PI_LD = np.longdouble("6.283185307179586476925286766559005768394")
 _HERM_TOL = 1e-10
 _UNITARY_TOL = 1e-8
 _NORM_DRIFT_TOL = 1e-6
+# The Chebyshev block widens the Gershgorin interval by 1% and sums its
+# vectors 64 at a time.
+_CHEB_WIDEN = 1.01
+_CHEB_CHUNK = 64
+# Seconds of each route, fitted at L = 6 to 14 on one BLAS thread (2-core
+# Xeon VM, OpenBLAS): the dense route per matrix entry and per dim^3 (0.2 s
+# at dim 924, 11 s at dim 3432); a Chebyshev step, per step, per stored
+# entry of the chain, and per entry of the columns it is summed into.
+_DENSE_ENTRY_S = 1e-7
+_EIGH_S = 2.5e-10
+_STEP_S = 1e-5
+_NNZ_S = 1.7e-9
+_SUM_S = 2.3e-10
 
 
 @dataclass(eq=False)
@@ -166,10 +184,19 @@ def _spectral_apply(
         # V^H block as (block^H V)^H, without a conjugated copy of V
         c = (block.T.conj() @ V).conj().T * factors
         out = V @ c
+    return _renormalized(out, f"{decomp.kind} evolution")
+
+
+def _renormalized(out: np.ndarray, what: str) -> np.ndarray:
+    """Columns of ``out`` scaled to unit norm, in place, after the drift guard.
+
+    Raises ``NumericError`` when a column's norm has drifted from 1 by more
+    than ``_NORM_DRIFT_TOL``.
+    """
     n = np.linalg.norm(out, axis=0)
     drift = float(np.abs(n - 1.0).max())
     if drift > _NORM_DRIFT_TOL:
-        raise NumericError(f"{decomp.kind} evolution norm drift {drift}")
+        raise NumericError(f"{what} norm drift {drift}")
     out /= n
     return out
 
@@ -185,6 +212,114 @@ def propagate(decomp: SpectralDecomposition, state: SectorState, t: float) -> Se
         raise ParameterError(f"t must be nonnegative, got {t}")
     amps = _spectral_apply(decomp, state.amplitudes[:, None], _phase_factors(decomp, [t]))
     return SectorState(state.basis, amps[:, 0])
+
+
+def _spectral_interval(terms) -> tuple[float, float]:
+    """Centre and half-width of the Gershgorin interval of chain ``terms``."""
+    diag, rows, _, vals = terms
+    radius = np.bincount(rows, weights=np.abs(vals), minlength=diag.size)
+    lo, hi = float((diag - radius).min()), float((diag + radius).max())
+    return (hi + lo) / 2, (hi - lo) / 2
+
+
+def _chebyshev_order(z):
+    """Terms of the Chebyshev series of ``exp(-i z x)`` on [-1, 1], as a
+    float for each ``z``.
+
+    The coefficients ``J_k(z)`` fall off within a few ``z^(1/3)`` past
+    ``k = z``; the terms past this order sum to less than 1e-20 (checked
+    against Bessel values for z up to 2e4).
+    """
+    return np.ceil(z + 12 * np.cbrt(z)) + 25
+
+
+def _chebyshev_series(z: float) -> np.ndarray:
+    """Coefficients of ``exp(-i z x) = sum_k a_k T_k(x)`` on [-1, 1].
+
+    By Jacobi-Anger ``exp(-i z cos t) = sum_k (-i)^k J_k(z) exp(i k t)``, so
+    bin k of the FFT of ``exp(-i z cos t)`` on m points, divided by m, is
+    ``(-i)^k J_k(z)``; with m at least twice the order plus 64 the aliased
+    bins are below rounding.  ``a_k`` is twice that for k >= 1.
+    """
+    k = int(_chebyshev_order(z))
+    m = 2 * k + 64
+    a = np.fft.fft(np.exp(-1j * z * np.cos(2 * np.pi / m * np.arange(m))))[:k] / m
+    a[1:] *= 2
+    return a
+
+
+def _chebyshev_block(terms, psi0: np.ndarray, T_arr) -> np.ndarray:
+    """``exp(-i H T) psi0`` for every T, shape ``(dim, len(T_arr))``.
+
+    ``H`` is the chain of ``terms`` (:func:`operators._chain_terms`) and
+    ``psi0`` a real vector.  One Chebyshev recurrence serves every T
+    (Tal-Ezer & Kosloff 1984): ``H`` is shifted and scaled onto [-1, 1]
+    by its Gershgorin interval, widened by 1%, and as ``H`` and ``psi0``
+    are real so is every vector ``T_k(H') psi0``.  They are summed in chunks
+    of ``_CHEB_CHUNK`` by one real GEMM each, against the float view of the
+    complex coefficients of those columns whose series reaches the chunk;
+    a short T's series ends early.  Every column passes the norm-drift guard.
+    """
+    import scipy.sparse  # only this route needs it; ``import entdyn`` stays lean
+
+    diag, rows, cols, vals = terms
+    dim = diag.size
+    T = np.asarray(T_arr, dtype=np.float64)
+    c, half = _spectral_interval(terms)
+    r = _CHEB_WIDEN * half or 1.0
+    # columns by falling series length, so those a chunk reaches come first
+    series = [_chebyshev_series(r * t) * np.exp(-1j * c * t) for t in T]
+    by_len = np.argsort([-a.size for a in series], kind="stable")
+    series = [series[j] for j in by_len]
+    order = series[0].size
+    # 2 H' = 2 (H - c) / r, so that each step is one product and one difference
+    idx = np.arange(dim)
+    A = scipy.sparse.csr_array(
+        (
+            np.concatenate([diag - c, vals]) * (2 / r),
+            (np.concatenate([idx, rows]), np.concatenate([idx, cols])),
+        ),
+        shape=(dim, dim),
+    )
+    size = min(_CHEB_CHUNK, order)
+    chunk = np.empty((size, dim))
+    coef = np.empty((size, T.size), dtype=np.complex128)
+    out = np.zeros((dim, T.size), dtype=np.complex128)
+    for k in range(order):
+        j = k % size
+        if k == 0:
+            chunk[0] = psi0
+        elif k == 1:
+            np.multiply(A @ chunk[0], 0.5, out=chunk[1])
+        else:
+            np.subtract(A @ chunk[j - 1], chunk[j - 2], out=chunk[j])
+        if j == size - 1 or k == order - 1:
+            k0 = k - j
+            n = sum(a.size > k0 for a in series)
+            for i, a in enumerate(series[:n]):
+                part = a[k0 : k + 1]
+                coef[: part.size, i] = part
+                coef[part.size : j + 1, i] = 0.0
+            c_f = coef[: j + 1, :n].view(np.float64)
+            out[:, :n] += (chunk[: j + 1].T @ c_f).view(np.complex128)
+    prepared = np.empty_like(out)
+    prepared[:, by_len] = out
+    return _renormalized(prepared, "Chebyshev evolution")
+
+
+def _chebyshev_wins(dim: int, nnz: int, half_width: float, T_arr) -> bool:
+    """Whether a prepared block costs less by Chebyshev than densely.
+
+    The dense route builds, checks and decomposes the chain; the
+    Chebyshev route takes as many steps over a chain of ``nnz`` stored
+    entries as the longest T's series has terms, and sums each step into
+    the columns whose series reaches it.  ``half_width`` is that of the
+    chain's spectral interval.
+    """
+    T = np.asarray(T_arr, dtype=np.float64)
+    orders = _chebyshev_order(_CHEB_WIDEN * half_width * T)
+    cheb = orders.max() * (_STEP_S + _NNZ_S * nnz) + _SUM_S * dim * orders.sum()
+    return cheb < dim**2 * (_DENSE_ENTRY_S + _EIGH_S * dim)
 
 
 def build_floquet(

@@ -36,17 +36,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import SectorBasis, enumerate_sector
-# hcee, propagate, floquet_power and spectral_decompose are unused here:
-# entbench/tracer.py wraps them
+# hcee, propagate, floquet_power, spectral_decompose and build_local_cut are
+# unused here: entbench/tracer.py wraps them
 from .entanglement import _half_chain_entropies, baee, hcee  # noqa: F401
 from .errors import ParameterError
 from .evolution import (  # noqa: F401
     SpectralDecomposition,
     Trajectory,
     _apply_circuit,
+    _chebyshev_block,
+    _chebyshev_wins,
     _decompose_owned,
     _phase_factors,
     _spectral_apply,
+    _spectral_interval,
     build_floquet,
     floquet_power,
     hybrid_schedule,
@@ -55,9 +58,12 @@ from .evolution import (  # noqa: F401
     spectral_decompose,
     spectrum,
 )
-from .operators import (
+from .operators import (  # noqa: F401
     DisorderFields,
+    _build_chain,
     _require_dense,
+    _xxz_half_width_bound,
+    _xxz_terms,
     build_ising_z,
     build_local_cut,
     build_two_qubit_gate,
@@ -202,21 +208,51 @@ def _preparation(
     prep_W: float,
     prep_jz: float,
     prep_local: bool = False,
-) -> tuple[SectorState, SpectralDecomposition]:
-    """A run's product state and the decomposition of its preparation chain.
+) -> tuple[SectorState, tuple]:
+    """A run's product state and the terms of its preparation chain.
 
     The chain is the weakly disordered XXZ chain, or with ``prep_local``
-    the same chain severed at the centre, whose halves never couple.
+    the same chain severed at the centre, whose halves never couple.  Its
+    terms (:func:`operators._chain_terms`) are small; :func:`_prepared_block`
+    decides whether it is ever formed as a dense matrix.
     """
     psi0 = sample_initial_product(basis, derive_rng(master_seed, run, "psi0"))
     fields = sample_fields(basis.L, prep_W, derive_rng(master_seed, run, "prep"))
-    build = build_local_cut if prep_local else build_xxz
-    return psi0, _decompose_owned(build(basis, prep_jz, fields))
+    return psi0, _xxz_terms(basis, prep_jz, fields, severed=prep_local)
 
 
-def _prepared_block(prep: SpectralDecomposition, psi0: SectorState, T_arr) -> np.ndarray:
-    """Columns ``|psi0(T)>`` for every preparation time, one block per run."""
+def _dense_block(terms, psi0: SectorState, T_arr) -> np.ndarray:
+    """The prepared block from the decomposition of the dense chain."""
+    prep = _decompose_owned(_build_chain(psi0.basis, terms))
     return _spectral_apply(prep, psi0.amplitudes[:, None], _phase_factors(prep, T_arr))
+
+
+def _prepared_block(terms, psi0: SectorState, T_arr) -> np.ndarray:
+    """Columns ``|psi0(T)>`` for every preparation time, one block per run.
+
+    The route estimated cheaper (:func:`evolution._chebyshev_wins`) makes
+    it: one Chebyshev recurrence over the chain's terms, which never forms a
+    dim x dim matrix (from L = 12 for ``DEFAULT_T_LIST``, from L = 10 for
+    T = 4.5 alone), or the decomposition of the dense chain.  ``psi0`` is a
+    basis word, so its amplitudes are real.
+    """
+    _, half = _spectral_interval(terms)
+    nnz = terms[0].size + terms[1].size
+    if _chebyshev_wins(psi0.basis.dim, nnz, half, T_arr):
+        return _chebyshev_block(terms, psi0.amplitudes.real, T_arr)
+    return _dense_block(terms, psi0, T_arr)
+
+
+def _chebyshev_certain(basis: SectorBasis, T_arr, prep_W: float, prep_jz: float) -> bool:
+    """Whether every run's preparation takes the Chebyshev route.
+
+    The route rule is asked with the largest half-width and entry count a
+    preparation chain can have (the severed chain has fewer entries), and
+    its Chebyshev estimate grows with both.
+    """
+    L, dim = basis.L, basis.dim
+    half_width = _xxz_half_width_bound(L, prep_W, prep_jz)
+    return _chebyshev_wins(dim, dim * (L // 2 + 1), half_width, T_arr)
 
 
 def _prep_times(T_list) -> np.ndarray:
@@ -224,8 +260,8 @@ def _prep_times(T_list) -> np.ndarray:
     T_arr = np.asarray(
         DEFAULT_T_LIST if T_list is None else list(T_list), dtype=np.float64
     )
-    if T_arr.size == 0 or not (T_arr >= 0).all():
-        raise ParameterError("T_list must be nonempty and nonnegative")
+    if T_arr.size == 0 or not (np.isfinite(T_arr) & (T_arr >= 0)).all():
+        raise ParameterError("T_list must be nonempty, finite and nonnegative")
     return T_arr
 
 
@@ -327,15 +363,21 @@ def _make_engine(
     return engine
 
 
-def _preflight(basis: SectorBasis, kind: str | None = None) -> None:
+def _preflight(basis: SectorBasis, kind: str | None = None, prep=None) -> None:
     """Refuse a run up front if its largest dense step exceeds memory.
 
     That step is the Floquet map for ``floquet_mbl`` and one decomposition
-    for every other driver.  The drivers drop each set of eigenvectors (and
-    the engine holding one) as soon as it is used, so no step runs while
-    another step's dim x dim results are still held.
+    for every other driver.  A driver whose only dense step is preparation
+    (the reservoir curve, circuits) passes ``prep = (T_arr, prep_W,
+    prep_jz)``; when every run's preparation goes to the Chebyshev route it
+    has no dense step, and nothing is reserved.  The drivers drop each set
+    of eigenvectors (and the engine holding one) as soon as it is used, so
+    no step runs while another step's dim x dim results are still held.
     """
-    _require_dense(basis.dim, "Floquet map" if kind == "floquet_mbl" else "decomposition")
+    if kind == "floquet_mbl":
+        _require_dense(basis.dim, "Floquet map")
+    elif kind not in (None, "rqc") or prep is None or not _chebyshev_certain(basis, *prep):
+        _require_dense(basis.dim, "decomposition")
 
 
 def circuit_schedule(
@@ -377,12 +419,12 @@ def mean_trajectory(
     """
     if runs < 1:
         raise ParameterError(f"runs must be positive, got {runs}")
-    if not prep_T >= 0:
-        raise ParameterError(f"prep_T must be nonnegative, got {prep_T}")
+    if not 0 <= prep_T < np.inf:
+        raise ParameterError(f"prep_T must be finite and nonnegative, got {prep_T}")
     spec = spec.normalized()
     kind = spec.kind
     basis = enumerate_sector(L, 0)
-    _preflight(basis, kind)
+    _preflight(basis, kind, ([prep_T], prep_W, prep_jz))
     if schedule is None:
         if kind == "rqc":
             schedule = circuit_schedule(depth)
@@ -407,9 +449,8 @@ def mean_trajectory(
     rows_h: list[np.ndarray] = []
     rows_b: list[np.ndarray] = []
     for run in range(runs):
-        psi0, prep = _preparation(basis, master_seed, run, prep_W, prep_jz, prep_local)
-        init = _prepared_block(prep, psi0, [prep_T])
-        del prep
+        psi0, terms = _preparation(basis, master_seed, run, prep_W, prep_jz, prep_local)
+        init = _prepared_block(terms, psi0, [prep_T])
         if kind == "rqc":
             engine = _make_engine(
                 basis, spec, master_seed, run, circuit_samples, int(steps.max())
@@ -506,13 +547,12 @@ def delta_s_sweep(
     spec = spec.normalized()
     T_arr = _prep_times(T_list)
     basis = enumerate_sector(L, 0)
-    _preflight(basis, spec.kind)
+    _preflight(basis, spec.kind, (T_arr, prep_W, prep_jz))
     s_i = np.empty((runs, T_arr.size))
     s_s = np.empty((runs, T_arr.size))
     for run in range(runs):
-        psi0, prep = _preparation(basis, master_seed, run, prep_W, prep_jz, prep_local)
-        prepared = _prepared_block(prep, psi0, T_arr)
-        del prep
+        psi0, terms = _preparation(basis, master_seed, run, prep_W, prep_jz, prep_local)
+        prepared = _prepared_block(terms, psi0, T_arr)
         s_i[run] = _half_chain_entropies(basis, prepared)
         engine = _make_engine(basis, spec, master_seed, run, circuit_samples, depth)
         s_s[run] = engine.saturation(prepared)
@@ -598,7 +638,8 @@ def eigenstate_sweep(
     s_s = np.empty((runs, rank_arr.size))
     en = np.empty((runs, rank_arr.size))
     for run in range(runs):
-        _, decomp = _preparation(basis, master_seed, run, prep_W, prep_jz)
+        _, terms = _preparation(basis, master_seed, run, prep_W, prep_jz)
+        decomp = _decompose_owned(_build_chain(basis, terms))
         states = decomp.vectors[:, rank_arr - 1].astype(np.complex128, order="C")
         en[run] = decomp.values[rank_arr - 1]
         del decomp
@@ -669,13 +710,12 @@ def reservoir_curve(
         raise ParameterError(f"runs must be positive, got {runs}")
     T_arr = _prep_times(T_list)
     basis = enumerate_sector(L, 0)
-    _preflight(basis)
+    _preflight(basis, prep=(T_arr, prep_W, prep_jz))
     h = np.empty((runs, T_arr.size))
     b = np.empty((runs, T_arr.size))
     for run in range(runs):
-        psi0, prep = _preparation(basis, master_seed, run, prep_W, prep_jz)
-        prepared = _prepared_block(prep, psi0, T_arr)
-        del prep
+        psi0, terms = _preparation(basis, master_seed, run, prep_W, prep_jz)
+        prepared = _prepared_block(terms, psi0, T_arr)
         h[run] = _half_chain_entropies(basis, prepared)
         b[run] = [baee(SectorState(basis, col)) for col in prepared.T]
     return ReservoirCurve(

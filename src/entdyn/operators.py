@@ -12,6 +12,10 @@ magnetization sector:
                          removed, so the two halves evolve independently
                          while all on-site fields stay active.
 
+Each is its chain's terms (``_chain_terms``: the diagonal and the flip-flop
+entries) scattered into a dense matrix; a Chebyshev preparation uses the
+terms alone.
+
 Two-site gates conserve magnetization and are parameterized by a flip-flop
 angle ``alpha`` and an Ising angle ``beta``; in the two-site basis
 (up-up, up-down, down-up, down-down) the gate is diagonal phase
@@ -155,31 +159,48 @@ def _sz_table(basis: SectorBasis) -> np.ndarray:
     return basis._cache[key]
 
 
-def _build_chain(
+def _chain_terms(
     basis: SectorBasis,
     flip_bonds: dict[int, float],
     zz_bonds: dict[int, float],
     h: np.ndarray,
-) -> OperatorMatrix:
-    _require_dense(basis.dim, "operator")
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of a chain operator: ``(diag, rows, cols, vals)``.
+
+    ``diag`` holds the fields and Ising terms of every sector word; the
+    flip-flop term of each bond adds ``vals`` at ``(rows, cols)``, its
+    ``(ud, du)`` pairs both ways.  No two entries share a position: two
+    words linked by a flip differ on one bond only.
+    """
     sz = _sz_table(basis)
     diag = sz @ h
     for bond, c in zz_bonds.items():
         diag = diag + c * sz[:, bond - 1] * sz[:, bond]
-    H = np.zeros((basis.dim, basis.dim), dtype=np.float64)
-    np.fill_diagonal(H, diag)
+    rows, cols, vals = [np.int64([])], [np.int64([])], [np.float64([])]
     for bond, c in flip_bonds.items():
         ud, du = bond_groups(basis, bond)
-        H[ud, du] += c
-        H[du, ud] += c
+        rows += [ud, du]
+        cols += [du, ud]
+        vals.append(np.full(2 * ud.size, c))
+    return diag, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _build_chain(basis: SectorBasis, terms) -> OperatorMatrix:
+    """The dense operator of :func:`_chain_terms`, each entry written once."""
+    _require_dense(basis.dim, "operator")
+    diag, rows, cols, vals = terms
+    H = np.zeros((basis.dim, basis.dim), dtype=np.float64)
+    np.fill_diagonal(H, diag)
+    H[rows, cols] = vals
     return OperatorMatrix(basis=basis, elements=H)
 
 
-def build_xxz(basis: SectorBasis, jz: float, fields: DisorderFields) -> OperatorMatrix:
-    """Open-chain XXZ Hamiltonian with on-site fields."""
+def _xxz_terms(basis: SectorBasis, jz: float, fields: DisorderFields, severed=False):
+    """Terms of the XXZ chain; ``severed`` drops every term of the central bond."""
     h = _check_fields(basis, fields)
-    bonds = range(1, basis.L)
-    return _build_chain(
+    cut = basis.L // 2 if severed else None
+    bonds = [b for b in range(1, basis.L) if b != cut]
+    return _chain_terms(
         basis,
         flip_bonds={b: 0.5 for b in bonds},
         zz_bonds={b: float(jz) for b in bonds},
@@ -187,15 +208,24 @@ def build_xxz(basis: SectorBasis, jz: float, fields: DisorderFields) -> Operator
     )
 
 
+def _xxz_half_width_bound(L: int, W: float, jz: float) -> float:
+    """Upper bound on the Gershgorin half-width of any XXZ chain drawn with
+    fields in [-W, W]: the fields and Ising terms move a diagonal entry by at
+    most ``L W / 2`` and ``(L - 1) |jz| / 4``, and a row holds at most
+    ``L - 1`` flip-flop entries of 1/2."""
+    return L * W / 2 + (L - 1) * (abs(jz) / 4 + 0.5)
+
+
+def build_xxz(basis: SectorBasis, jz: float, fields: DisorderFields) -> OperatorMatrix:
+    """Open-chain XXZ Hamiltonian with on-site fields."""
+    return _build_chain(basis, _xxz_terms(basis, jz, fields))
+
+
 def build_ising_z(basis: SectorBasis, fields: DisorderFields) -> OperatorMatrix:
     """Diagonal Hamiltonian: unit nearest-neighbour Ising term plus fields."""
     h = _check_fields(basis, fields)
-    return _build_chain(
-        basis,
-        flip_bonds={},
-        zz_bonds={b: 1.0 for b in range(1, basis.L)},
-        h=h,
-    )
+    zz_bonds = {b: 1.0 for b in range(1, basis.L)}
+    return _build_chain(basis, _chain_terms(basis, flip_bonds={}, zz_bonds=zz_bonds, h=h))
 
 
 def build_local_cut(basis: SectorBasis, jz: float, fields: DisorderFields) -> OperatorMatrix:
@@ -205,15 +235,7 @@ def build_local_cut(basis: SectorBasis, jz: float, fields: DisorderFields) -> Op
     L/2 and L/2 + 1 is dropped; on-site fields act on all sites.  Evolution
     then factorizes across the half-chain cut.
     """
-    h = _check_fields(basis, fields)
-    cut = basis.L // 2
-    bonds = [b for b in range(1, basis.L) if b != cut]
-    return _build_chain(
-        basis,
-        flip_bonds={b: 0.5 for b in bonds},
-        zz_bonds={b: float(jz) for b in bonds},
-        h=h,
-    )
+    return _build_chain(basis, _xxz_terms(basis, jz, fields, severed=True))
 
 
 @dataclass(frozen=True)

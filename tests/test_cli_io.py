@@ -15,7 +15,7 @@ from entdyn.config import (
 )
 from entdyn.errors import ConfigError
 from entdyn.evolution import Trajectory
-from entdyn.experiments import SweepTable
+from entdyn.experiments import DEFAULT_JZ, DEFAULT_T_LIST, THERMAL_W, SweepTable
 from entdyn.io import RunRecord, write_results
 from entdyn.spectral_stats import Histogram
 
@@ -287,11 +287,16 @@ def test_cli_refuses_what_memory_cannot_hold(tmp_path, capsys, monkeypatch):
     assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
     assert "Floquet map at dimension 12870" in capsys.readouterr().err
     experiments._preflight(enumerate_sector(16, 0), "thermal")
-    # the reservoir command refuses too once the budget is below its peak
+    # a thermal sweep refuses too once the budget is below its quench's
+    # decomposition, while the reservoir curve, whose preparation goes to
+    # the Chebyshev route, has no dense step to refuse
     monkeypatch.setattr(operators, "_memory_budget", lambda: 100 << 20)
-    assert cli(["reservoir", "--L", "14", "--runs", "1", "--out", str(tmp_path / "r")]) == 2
+    cfg.write_text("L = 14\nruns = 1\nprotocol.kind = thermal\n")
+    assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
     assert "decomposition at dimension 3432" in capsys.readouterr().err
-    assert not (tmp_path / "s").exists() and not (tmp_path / "r").exists()
+    prep = (np.asarray(DEFAULT_T_LIST), THERMAL_W, DEFAULT_JZ)
+    experiments._preflight(enumerate_sector(14, 0), prep=prep)
+    assert not (tmp_path / "s").exists() and not (tmp_path / "t").exists()
 
 
 def test_cli_sweep_small_end_to_end(tmp_path, capsys):

@@ -142,7 +142,10 @@ def test_dense_steps_refuse_beyond_the_memory_budget(rng, monkeypatch):
 @pytest.mark.parametrize(
     "step, call",
     [
-        ("decomposition", "_preparation({basis}, 0, 0, 0.5, 0.5)"),
+        (
+            "decomposition",
+            "_decompose_owned(build_xxz({basis}, 0.5, DisorderFields.zeros({basis}.L)))",
+        ),
         ("Floquet map", "_make_engine({basis}, ProtocolSpec(kind='floquet_mbl'), 0, 0)"),
     ],
     ids=["decomposition", "floquet"],
@@ -154,7 +157,9 @@ def test_dense_peak_estimate_is_honest(step, call):
     code = f"""
 from entdyn.basis import enumerate_sector
 from entdyn.operators import _dense_peak
-from entdyn.experiments import ProtocolSpec, _make_engine, _preparation
+from entdyn.evolution import _decompose_owned
+from entdyn.experiments import ProtocolSpec, _make_engine
+from entdyn.operators import DisorderFields, build_xxz
 
 def peak():
     with open("/proc/self/status") as f:

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from entdyn.basis import enumerate_sector
 from entdyn.entanglement import baee, haar_sector_average, hcee
-from entdyn import experiments
+from entdyn import evolution, experiments
+from entdyn.entanglement import _half_chain_entropies
 from entdyn.errors import NumericError, ParameterError
 from entdyn.evolution import floquet_power, propagate, run_rqc, spectral_decompose
 from entdyn.experiments import (
@@ -25,11 +31,18 @@ from entdyn.experiments import (
 )
 from entdyn.operators import (
     DisorderFields,
+    _build_chain,
     build_ising_z,
     build_xxz,
     sample_fields,
 )
-from entdyn.evolution import SpectralDecomposition, build_floquet
+from entdyn.evolution import (
+    SpectralDecomposition,
+    _chebyshev_block,
+    _chebyshev_wins,
+    _spectral_interval,
+    build_floquet,
+)
 from entdyn.state import SectorState, random_sector_state
 
 BLOCK_T = (0.0, 0.5, 2.0, 10.0, 500.0)
@@ -112,24 +125,85 @@ def test_sample_initial_product_is_basis_state(basis8):
 
 
 def test_prepare_thermalized_entangles(basis8):
-    psi0, prep = experiments._preparation(basis8, 0, 1, 0.5, 0.5)
+    psi0, terms = experiments._preparation(basis8, 0, 1, 0.5, 0.5)
     expected = sample_initial_product(basis8, derive_rng(0, 1, "psi0"))
     assert np.array_equal(psi0.amplitudes, expected.amplitudes)
     fields = sample_fields(8, 0.5, derive_rng(0, 1, "prep"))
     assert np.array_equal(
-        prep.values, spectral_decompose(build_xxz(basis8, 0.5, fields)).values
+        _build_chain(basis8, terms).elements, build_xxz(basis8, 0.5, fields).elements
     )
-    block = experiments._prepared_block(prep, psi0, [0.0, 4.5])
+    block = experiments._prepared_block(terms, psi0, [0.0, 4.5])
     assert np.max(np.abs(block[:, 0] - psi0.amplitudes)) < 1e-12
     assert hcee(SectorState(basis8, block[:, 1])) > 0.3
 
 
 def test_prepare_locally_entangled_keeps_half_cut_clean(basis8):
-    psi0, prep = experiments._preparation(basis8, 0, 2, 0.5, 0.5, prep_local=True)
-    block = experiments._prepared_block(prep, psi0, [1.0, 4.5, 32.0])
+    psi0, terms = experiments._preparation(basis8, 0, 2, 0.5, 0.5, prep_local=True)
+    block = experiments._prepared_block(terms, psi0, [1.0, 4.5, 32.0])
     for col in block.T:
         assert hcee(SectorState(basis8, col)) < 1e-12
     assert baee(SectorState(basis8, block[:, 1])) > 0.1
+
+
+def test_import_leaves_the_chebyshev_modules_out():
+    # scipy.sparse and scipy.special would add to every process's start-up;
+    # only a Chebyshev block imports scipy.sparse, and nothing needs special
+    code = (
+        "import sys, entdyn; "
+        "print(sorted(m for m in ('scipy.sparse', 'scipy.special') if m in sys.modules))"
+    )
+    env = dict(os.environ)
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    p = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "[]"
+
+
+def _prep_route(L, T_list, run=0):
+    """The route rule's verdict up front and for run ``run``'s chain."""
+    basis = enumerate_sector(L, 0)
+    T_arr = np.asarray(T_list)
+    up_front = experiments._chebyshev_certain(basis, T_arr, 0.5, 0.5)
+    _, terms = experiments._preparation(basis, 0, run, 0.5, 0.5)
+    _, half = _spectral_interval(terms)
+    nnz = terms[0].size + terms[1].size
+    return up_front, _chebyshev_wins(basis.dim, nnz, half, T_arr)
+
+
+def test_route_rule_keeps_the_warm_up_dense_and_sends_l14_to_chebyshev():
+    # the benchmark's warm-up call (L = 6, one prep time T = 1)
+    assert _prep_route(6, (1.0,)) == (False, False)
+    assert _prep_route(14, DEFAULT_T_LIST) == (True, True)
+    # a prep time far beyond the reference list goes back to dense
+    assert _prep_route(12, (0.0, 1e5)) == (False, False)
+
+
+@pytest.mark.parametrize("local", [False, True], ids=["xxz", "severed"])
+@pytest.mark.parametrize("L", [8, 10, 12])
+def test_chebyshev_block_matches_dense_block(L, local):
+    basis = enumerate_sector(L, 0)
+    psi0, terms = experiments._preparation(basis, 0, 3, 0.5, 0.5, prep_local=local)
+    T_arr = np.asarray(DEFAULT_T_LIST)
+    dense = experiments._dense_block(terms, psi0, T_arr)
+    cheb = _chebyshev_block(terms, psi0.amplitudes.real, T_arr)
+    assert np.abs(cheb - dense).max() < 1e-12
+    assert np.abs(cheb[:, 0] - psi0.amplitudes).max() < 1e-14
+    s_dense = _half_chain_entropies(basis, dense)
+    s_cheb = _half_chain_entropies(basis, cheb)
+    assert np.abs(s_cheb - s_dense).max() < 1e-12
+    if local:
+        assert np.abs(s_cheb).max() < 1e-12
+
+
+def test_chebyshev_block_guards_norm_drift(basis8, monkeypatch):
+    psi0, terms = experiments._preparation(basis8, 0, 0, 0.5, 0.5)
+    # an interval narrower than the spectrum makes the series diverge
+    monkeypatch.setattr(evolution, "_CHEB_WIDEN", 0.5)
+    with pytest.raises(NumericError):
+        _chebyshev_block(terms, psi0.amplitudes.real, [0.0, 4.5])
 
 
 def test_select_eigenstate(basis8, rng):
@@ -340,8 +414,9 @@ def test_mean_trajectory_rejects_bad_schedules():
     for spec, schedule in bad:
         with pytest.raises(ParameterError):
             mean_trajectory(6, spec, runs=1, schedule=schedule)
-    with pytest.raises(ParameterError):
-        mean_trajectory(6, flo, runs=1, schedule=[0, 2], prep_T=-1.0)
+    for prep_T in (-1.0, np.inf):
+        with pytest.raises(ParameterError):
+            mean_trajectory(6, flo, runs=1, schedule=[0, 2], prep_T=prep_T)
     # whole periods given as floats are fine
     traj = mean_trajectory(6, flo, runs=1, schedule=[0.0, 2.0])
     assert traj.times.tolist() == [0.0, 2.0]
@@ -380,7 +455,7 @@ def test_reservoir_curve_shapes_and_excess():
 
 
 def test_reservoir_curve_rejects_bad_t_list():
-    for bad in ([-1.0, 2.0], []):
+    for bad in ([-1.0, 2.0], [], [0.0, np.inf]):
         with pytest.raises(ParameterError):
             reservoir_curve(6, T_list=bad, runs=1)
         with pytest.raises(ParameterError):
