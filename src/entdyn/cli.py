@@ -27,12 +27,10 @@ from .config import (
     with_overrides,
 )
 from .errors import CapacityError, ConfigError, NumericError, ParameterError
-from .evolution import hybrid_schedule
 from .experiments import (
-    SAT_PERIODS,
     ProtocolSpec,
-    circuit_schedule,
     classify_dynamics,
+    default_schedule,
     delta_s_sweep,
     derive_rng,
     eigenstate_sweep,
@@ -40,7 +38,7 @@ from .experiments import (
     pooled_disorder_ratios,
     reservoir_curve,
 )
-from .io import BasisDump, RunRecord, write_results
+from .io import RunRecord, write_results
 from .spectral_stats import ratio_histogram, reference_curves
 
 _MIDDLE_THIRD_NOTE = "start floor(dim/3), length floor(dim/3)"
@@ -109,30 +107,22 @@ def _protocol_from(cfg: RunConfig, default_kind: str | None = None) -> ProtocolS
 
 
 def _schedule_for(cfg: RunConfig, kind: str):
-    if kind == "rqc":
-        # a circuit records up to its last layer, so depth sets t_max
-        if "schedule.t_max" in cfg.seen and cfg.schedule_t_max != cfg.depth:
-            raise ConfigError(
-                f"keys 'depth' and 'schedule.t_max' conflict: a circuit records "
-                f"up to depth = {cfg.depth}, not schedule.t_max = "
-                f"{cfg.schedule_t_max:g}; set depth alone",
-                key="schedule.t_max",
-            )
-        return circuit_schedule(
-            cfg.depth,
-            cfg.schedule_linear_max,
-            cfg.schedule_n_linear,
-            cfg.schedule_n_log,
+    # a circuit records up to its last layer, so depth sets t_max
+    t_max_set = "schedule.t_max" in cfg.seen
+    if kind == "rqc" and t_max_set and cfg.schedule_t_max != cfg.depth:
+        raise ConfigError(
+            f"keys 'depth' and 'schedule.t_max' conflict: a circuit records "
+            f"up to depth = {cfg.depth}, not schedule.t_max = "
+            f"{cfg.schedule_t_max:g}; set depth alone",
+            key="schedule.t_max",
         )
-    t_max = cfg.schedule_t_max
-    if "schedule.t_max" not in cfg.seen and kind == "floquet_mbl":
-        t_max = float(SAT_PERIODS)
-    return hybrid_schedule(
+    return default_schedule(
+        kind,
+        cfg.depth,
         cfg.schedule_linear_max,
         cfg.schedule_n_linear,
-        t_max,
+        cfg.schedule_t_max if t_max_set else None,
         cfg.schedule_n_log,
-        integer=kind == "floquet_mbl",
     )
 
 
@@ -158,14 +148,8 @@ def _finish(command: str, cfg: RunConfig, payload, summary: dict, t0: float, lin
 
 def _cmd_basis(cfg: RunConfig, t0: float) -> int:
     basis = enumerate_sector(cfg.L, 0)
-    dump = BasisDump(
-        L=basis.L,
-        sz_total=basis.sz_total,
-        words=tuple(int(w) for w in basis.states),
-        bits=tuple(basis.bitstring(int(w)) for w in basis.states),
-    )
     summary = {"L": basis.L, "dim": basis.dim, "n_up": basis.n_up}
-    return _finish("basis", cfg, dump, summary, t0, f"basis: L={basis.L} dim={basis.dim}")
+    return _finish("basis", cfg, basis, summary, t0, f"basis: L={basis.L} dim={basis.dim}")
 
 
 def _cmd_trajectory(command: str, cfg: RunConfig, t0: float) -> int:

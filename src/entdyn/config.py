@@ -22,6 +22,8 @@ from .experiments import (
     DEFAULT_T_LIST,
     DESK_L,
     DESK_RUNS,
+    HEAVY_L,
+    HEAVY_RUNS,
     KINDS,
     RQC_DEPTH,
     THERMAL_W,
@@ -167,16 +169,6 @@ _SCHEMA: dict[str, tuple[str, object, object]] = {
     "eigensweep.ranks": ("eigensweep_ranks", _parse_ranks, _fmt_ranks),
 }
 
-_OPTIONAL_ATTRS = {
-    "protocol_kind",
-    "protocol_W",
-    "protocol_jz",
-    "protocol_alpha",
-    "protocol_beta",
-    "eigensweep_ranks",
-}
-
-
 def _validate(cfg: RunConfig) -> RunConfig:
     def bad(key: str, msg: str):
         raise ConfigError(f"key {key!r}: {msg}", key=key)
@@ -260,7 +252,7 @@ def serialize_config(cfg: RunConfig) -> str:
     lines = []
     for key, (attr, _, fmt) in _SCHEMA.items():
         value = getattr(cfg, attr)
-        if value is None and attr in _OPTIONAL_ATTRS:
+        if value is None:
             continue
         if key.startswith("protocol.") and cfg.protocol_kind is None:
             continue
@@ -289,7 +281,7 @@ def resolve_heavy(cfg: RunConfig) -> RunConfig:
         return cfg
     updates = {}
     if "L" not in cfg.seen:
-        updates["L"] = 16
+        updates["L"] = HEAVY_L
     if "runs" not in cfg.seen:
-        updates["runs"] = 72
+        updates["runs"] = HEAVY_RUNS
     return with_overrides(cfg, **updates)

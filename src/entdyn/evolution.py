@@ -28,8 +28,10 @@ import scipy.linalg
 
 from . import _kernels
 from .basis import SectorBasis, bond_groups
+from .entanglement import _half_chain_entropies
 from .entanglement import baee as _baee
-from .entanglement import hcee as _hcee
+# _hcee is unused here: entbench/tracer.py wraps it
+from .entanglement import hcee as _hcee  # noqa: F401
 from .errors import NumericError, ParameterError
 from .operators import (
     _ROW_BLOCK,
@@ -460,6 +462,16 @@ def hybrid_schedule(
     return times
 
 
+def _whole_numbers(values, what: str) -> np.ndarray:
+    """``values`` as int64, refusing any entry that is not a whole number."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the test below
+        out = raw.astype(np.int64)
+    if not np.array_equal(out, raw):
+        raise ParameterError(f"{what} must be whole numbers")
+    return out
+
+
 def run_rqc(
     state: SectorState,
     alpha: float,
@@ -477,40 +489,55 @@ def run_rqc(
     entropy snapshots are taken (default: every depth 0..depth).
     """
     basis = state.basis
-    if depth < 0:
-        raise ParameterError(f"depth must be nonnegative, got {depth}")
+    if not isinstance(depth, (int, np.integer)) or depth < 0:
+        raise ParameterError(f"depth must be a nonnegative integer, got {depth!r}")
     if bonds is None:
         if rng is None:
             raise ParameterError("run_rqc needs either rng or an explicit bond list")
         bonds = rng.integers(1, basis.L, size=depth)
-    bonds = np.asarray(bonds, dtype=np.int64)
+    bonds = _whole_numbers(bonds, "bond indices")
     if bonds.shape != (depth,):
         raise ParameterError(f"bonds must have shape ({depth},), got {bonds.shape}")
     if depth and (bonds.min() < 1 or bonds.max() > basis.L - 1):
         raise ParameterError("bond indices must lie in 1..L-1")
     if record is None:
         record = range(depth + 1)
-    marks = np.unique(np.asarray(list(record), dtype=np.int64))
+    marks = np.unique(_whole_numbers(list(record), "recorded depths"))
     if marks.size == 0:
         raise ParameterError("record must name at least one depth")
     if marks.min() < 0 or marks.max() > depth:
         raise ParameterError("recorded depths must lie in 0..depth")
     gate: TwoQubitGate = build_two_qubit_gate(alpha, beta)
-
-    amps = state.amplitudes.copy()
-    s_h = []
-    s_b = [] if record_baee else None
-    for _ in _apply_circuit(amps, gate, basis, bonds, marks):
-        snap = SectorState(basis, amps / np.linalg.norm(amps))
-        s_h.append(_hcee(snap))
-        if s_b is not None:
-            s_b.append(_baee(snap))
+    s_h, s_b = _circuit_readings(
+        state.amplitudes.copy(), gate, basis, bonds, marks, record_baee
+    )
     return Trajectory(
         times=marks.astype(np.float64),
-        hcee=np.array(s_h),
-        baee=None if s_b is None else np.array(s_b),
+        hcee=s_h[:, 0],
+        baee=None if s_b is None else s_b[:, 0],
         meta={"alpha": gate.alpha, "beta": gate.beta, "depth": depth},
     )
+
+
+def _circuit_readings(
+    amps: np.ndarray, gate: TwoQubitGate, basis: SectorBasis, bonds, marks, record_baee=False
+):
+    """Half-chain entropy (and BAEE) of a circuit's snapshots at ``marks``.
+
+    Runs :func:`_apply_circuit` on ``amps`` in place, one state ``(dim,)``
+    or a block ``(dim, m)``, and reads each snapshot, renormalized, with one
+    batched entropy call.  Returns ``(hcee, baee)`` of shape
+    ``(len(marks), m)``, with m = 1 for one state and ``baee`` None unless
+    ``record_baee``.
+    """
+    s_h = []
+    s_b = []
+    for _ in _apply_circuit(amps, gate, basis, bonds, marks):
+        snap = (amps / np.linalg.norm(amps, axis=0)).reshape(basis.dim, -1)
+        s_h.append(_half_chain_entropies(basis, snap))
+        if record_baee:
+            s_b.append([_baee(SectorState(basis, col)) for col in snap.T])
+    return np.array(s_h), (np.array(s_b) if record_baee else None)
 
 
 def _apply_circuit(amps: np.ndarray, gate: TwoQubitGate, basis: SectorBasis, bonds, marks):

@@ -36,20 +36,21 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import SectorBasis, enumerate_sector
-# hcee, propagate, floquet_power, spectral_decompose and build_local_cut are
-# unused here: entbench/tracer.py wraps them
+# hcee, propagate, floquet_power, run_rqc, spectral_decompose and
+# build_local_cut are unused here: entbench/tracer.py wraps them
 from .entanglement import _half_chain_entropies, baee, hcee  # noqa: F401
 from .errors import ParameterError
 from .evolution import (  # noqa: F401
     SpectralDecomposition,
     Trajectory,
-    _apply_circuit,
     _chebyshev_block,
     _chebyshev_wins,
+    _circuit_readings,
     _decompose_owned,
     _phase_factors,
     _spectral_apply,
     _spectral_interval,
+    _whole_numbers,
     build_floquet,
     floquet_power,
     hybrid_schedule,
@@ -270,11 +271,6 @@ def _prep_times(T_list) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _rqc_window(depth: int) -> range:
-    """The last hundred circuit layers (the saturation window)."""
-    return range(max(1, depth - 99), depth + 1)
-
-
 @dataclass(eq=False)
 class _QuenchEngine:
     """Per-run quench machinery reused across every preparation time.
@@ -319,15 +315,12 @@ class _QuenchEngine:
         if self.spec.is_swap:
             return np.array([baee(SectorState(basis, col)) for col in block.T])
         gate = build_two_qubit_gate(self.spec.alpha, self.spec.beta)
-        window = _rqc_window(self.depth)
+        # the saturation window: the last hundred layers
+        window = range(max(1, self.depth - 99), self.depth + 1)
         means = []
         for bonds in self.circuits():
             amps = block.astype(np.complex128, order="C")
-            snaps = [
-                _half_chain_entropies(basis, amps / np.linalg.norm(amps, axis=0))
-                for _ in _apply_circuit(amps, gate, basis, bonds, window)
-            ]
-            means.append(np.mean(snaps, axis=0))
+            means.append(_circuit_readings(amps, gate, basis, bonds, window)[0].mean(axis=0))
         return np.mean(means, axis=0)
 
 
@@ -380,19 +373,32 @@ def _preflight(basis: SectorBasis, kind: str | None = None, prep=None) -> None:
         _require_dense(basis.dim, "decomposition")
 
 
-def circuit_schedule(
-    depth: int, linear_max: float = 10.0, n_linear: int = 10, n_log: int = 28
+def default_schedule(
+    kind: str,
+    depth: int = RQC_DEPTH,
+    linear_max: float = 10.0,
+    n_linear: int = 10,
+    t_max: float | None = None,
+    n_log: int = 28,
 ) -> np.ndarray:
-    """The layers a circuit of ``depth`` layers records by default.
+    """The times, whole periods or layers a ``kind`` trajectory records by default.
 
-    :func:`hybrid_schedule` up to ``depth``, or every layer ``0..depth``
-    when ``depth <= linear_max``.
+    A circuit records up to its last layer ``depth``: every layer when
+    ``depth <= linear_max``, else :func:`hybrid_schedule` up to ``depth``.
+    The other kinds follow :func:`hybrid_schedule` up to ``t_max``, by
+    default ``SAT_PERIODS`` whole periods for the Floquet map and
+    ``SAT_TIME`` for the Hamiltonian kinds.
     """
-    if depth < 1:
-        raise ParameterError(f"depth must be positive, got {depth}")
-    if depth <= linear_max:
-        return np.arange(depth + 1, dtype=np.int64)
-    return hybrid_schedule(linear_max, n_linear, depth, n_log, integer=True)
+    if kind == "rqc":
+        if depth < 1:
+            raise ParameterError(f"depth must be positive, got {depth}")
+        if depth <= linear_max:
+            return np.arange(depth + 1, dtype=np.int64)
+        return hybrid_schedule(linear_max, n_linear, depth, n_log, integer=True)
+    floquet = kind == "floquet_mbl"
+    if t_max is None:
+        t_max = SAT_PERIODS if floquet else SAT_TIME
+    return hybrid_schedule(linear_max, n_linear, t_max, n_log, integer=floquet)
 
 
 def mean_trajectory(
@@ -426,12 +432,7 @@ def mean_trajectory(
     basis = enumerate_sector(L, 0)
     _preflight(basis, kind, ([prep_T], prep_W, prep_jz))
     if schedule is None:
-        if kind == "rqc":
-            schedule = circuit_schedule(depth)
-        elif kind == "floquet_mbl":
-            schedule = hybrid_schedule(t_max=SAT_PERIODS, integer=True)
-        else:
-            schedule = hybrid_schedule(t_max=SAT_TIME)
+        schedule = default_schedule(kind, depth)
     times = np.asarray(schedule, dtype=np.float64)
     # circuits record their snapshots in depth order, so every kind takes
     # its schedule in increasing order
@@ -443,9 +444,7 @@ def mean_trajectory(
         )
     steps = times
     if kind in ("floquet_mbl", "rqc"):
-        if not (times == np.rint(times)).all():
-            raise ParameterError(f"a {kind} schedule counts whole periods or layers")
-        steps = times.astype(np.int64)
+        steps = _whole_numbers(times, f"the periods or layers of a {kind} schedule")
     rows_h: list[np.ndarray] = []
     rows_b: list[np.ndarray] = []
     for run in range(runs):
@@ -455,20 +454,14 @@ def mean_trajectory(
             engine = _make_engine(
                 basis, spec, master_seed, run, circuit_samples, int(steps.max())
             )
-            start = SectorState(basis, init[:, 0])
+            gate = build_two_qubit_gate(spec.alpha, spec.beta)
             for bonds in engine.circuits():
-                traj = run_rqc(
-                    start,
-                    spec.alpha,
-                    spec.beta,
-                    engine.depth,
-                    record=steps,
-                    record_baee=record_baee,
-                    bonds=bonds,
+                s_h, s_b = _circuit_readings(
+                    init[:, 0].copy(), gate, basis, bonds, steps, record_baee
                 )
-                rows_h.append(traj.hcee)
+                rows_h.append(s_h[:, 0])
                 if record_baee:
-                    rows_b.append(traj.baee)
+                    rows_b.append(s_b[:, 0])
             continue
         decomp = _make_engine(basis, spec, master_seed, run).decomp
         states = _spectral_apply(decomp, init, _phase_factors(decomp, steps))
@@ -623,17 +616,11 @@ def eigenstate_sweep(
     spec = spec.normalized()
     basis = enumerate_sector(L, 0)
     _preflight(basis, spec.kind)
-    requested = np.asarray(
-        scaled_rank_list(basis.dim) if ranks is None else list(ranks), dtype=np.float64
+    rank_arr = _whole_numbers(
+        scaled_rank_list(basis.dim) if ranks is None else list(ranks), "ranks"
     )
-    rank_arr = requested.astype(np.int64)
-    if (
-        rank_arr.size == 0
-        or not np.array_equal(rank_arr, requested)
-        or rank_arr.min() < 1
-        or rank_arr.max() > basis.dim
-    ):
-        raise ParameterError(f"ranks must be whole numbers in 1..{basis.dim}")
+    if rank_arr.size == 0 or rank_arr.min() < 1 or rank_arr.max() > basis.dim:
+        raise ParameterError(f"ranks must lie in 1..{basis.dim}")
     s_i = np.empty((runs, rank_arr.size))
     s_s = np.empty((runs, rank_arr.size))
     en = np.empty((runs, rank_arr.size))

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .basis import SectorBasis
 from .errors import ParameterError
 from .evolution import Trajectory
 from .experiments import EigensweepTable, ReservoirCurve, SweepTable
@@ -27,16 +28,6 @@ SCHEMA_VERSION = 1
 def fmt_float(x: float) -> str:
     """Fixed 17-significant-digit decimal rendering of a double."""
     return f"{float(x):.17g}"
-
-
-@dataclass(frozen=True)
-class BasisDump:
-    """Plot/debug-friendly listing of a sector basis."""
-
-    L: int
-    sz_total: float
-    words: tuple[int, ...]
-    bits: tuple[str, ...]
 
 
 @dataclass(eq=False)
@@ -57,93 +48,63 @@ class RunRecord:
     wall_clock_seconds: float | None = None
 
 
-def _csv_lines(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def _entropy_columns(table) -> dict:
+    """The columns a sweep and an eigenstate sweep share."""
+    return {
+        "S_initial": table.s_initial,
+        "S_sat": table.s_sat,
+        "delta_S": table.delta_s,
+        "stderr_initial": table.stderr_initial,
+        "stderr_sat": table.stderr_sat,
+        "runs": [table.runs] * table.s_initial.size,
+    }
 
 
-def _sweep_csv(t: SweepTable) -> str:
-    header = ["T", "S_initial", "S_sat", "delta_S", "stderr_initial", "stderr_sat", "runs"]
-    rows = (
-        [
-            fmt_float(t.T[i]),
-            fmt_float(t.s_initial[i]),
-            fmt_float(t.s_sat[i]),
-            fmt_float(t.delta_s[i]),
-            fmt_float(t.stderr_initial[i]),
-            fmt_float(t.stderr_sat[i]),
-            str(t.runs),
-        ]
-        for i in range(t.T.size)
-    )
-    return _csv_lines(header, rows)
+def _columns(payload) -> tuple[str, dict]:
+    """The file stem and the named columns of a table payload, in order."""
+    if isinstance(payload, SweepTable):
+        return "sweep", {"T": payload.T, **_entropy_columns(payload)}
+    if isinstance(payload, EigensweepTable):
+        return "eigensweep", {
+            "rank": payload.rank,
+            "energy": payload.energy,
+            **_entropy_columns(payload),
+        }
+    if isinstance(payload, Trajectory):
+        cols = {"time": payload.times, "hcee": payload.hcee}
+        if payload.baee is not None:
+            cols["baee"] = payload.baee
+        return "trajectory", cols
+    if isinstance(payload, Histogram):
+        return "histogram", {
+            "bin_left": payload.bin_left,
+            "bin_right": payload.bin_right,
+            "density": payload.density,
+        }
+    if isinstance(payload, ReservoirCurve):
+        return "reservoir", {
+            "T": payload.T,
+            "hcee": payload.hcee,
+            "baee": payload.baee,
+            "excess": payload.excess,
+        }
+    if isinstance(payload, SectorBasis):
+        return "basis", {
+            "ordinal": range(payload.dim),
+            "word": payload.states,
+            "bits": [payload.bitstring(int(w)) for w in payload.states],
+        }
+    raise ParameterError(f"no writer for payload type {type(payload).__name__}")
 
 
-def _eigensweep_csv(t: EigensweepTable) -> str:
-    header = [
-        "rank", "energy", "S_initial", "S_sat", "delta_S",
-        "stderr_initial", "stderr_sat", "runs",
-    ]
-    rows = (
-        [
-            str(int(t.rank[i])),
-            fmt_float(t.energy[i]),
-            fmt_float(t.s_initial[i]),
-            fmt_float(t.s_sat[i]),
-            fmt_float(t.delta_s[i]),
-            fmt_float(t.stderr_initial[i]),
-            fmt_float(t.stderr_sat[i]),
-            str(t.runs),
-        ]
-        for i in range(t.rank.size)
-    )
-    return _csv_lines(header, rows)
-
-
-def _trajectory_csv(t: Trajectory) -> str:
-    if t.baee is None:
-        header = ["time", "hcee"]
-        rows = (
-            [fmt_float(t.times[i]), fmt_float(t.hcee[i])] for i in range(t.times.size)
-        )
-    else:
-        header = ["time", "hcee", "baee"]
-        rows = (
-            [fmt_float(t.times[i]), fmt_float(t.hcee[i]), fmt_float(t.baee[i])]
-            for i in range(t.times.size)
-        )
-    return _csv_lines(header, rows)
-
-
-def _histogram_csv(h: Histogram) -> str:
-    header = ["bin_left", "bin_right", "density"]
-    rows = (
-        [fmt_float(h.bin_left[i]), fmt_float(h.bin_right[i]), fmt_float(h.density[i])]
-        for i in range(h.density.size)
-    )
-    return _csv_lines(header, rows)
-
-
-def _reservoir_csv(c: ReservoirCurve) -> str:
-    header = ["T", "hcee", "baee", "excess"]
-    rows = (
-        [
-            fmt_float(c.T[i]),
-            fmt_float(c.hcee[i]),
-            fmt_float(c.baee[i]),
-            fmt_float(c.excess[i]),
-        ]
-        for i in range(c.T.size)
-    )
-    return _csv_lines(header, rows)
-
-
-def _basis_csv(b: BasisDump) -> str:
-    header = ["ordinal", "word", "bits"]
-    rows = ([str(i), str(w), bits] for i, (w, bits) in enumerate(zip(b.words, b.bits)))
-    return _csv_lines(header, rows)
+def _csv_text(columns: dict) -> str:
+    """Header and rows; float columns by :func:`fmt_float`, the others by ``str``."""
+    cells = []
+    for col in columns.values():
+        fmt = fmt_float if np.asarray(col).dtype.kind == "f" else str
+        cells.append([fmt(x) for x in col])
+    rows = [",".join(columns)] + [",".join(row) for row in zip(*cells)]
+    return "\n".join(rows) + "\n"
 
 
 def _json_text(obj: dict) -> str:
@@ -174,23 +135,11 @@ def write_results(record: RunRecord, out_dir) -> list[Path]:
     """Persist a record's payload and metadata; returns written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = record.payload
-    if isinstance(payload, SweepTable):
-        stem, body, kind = "sweep", _sweep_csv(payload), "csv"
-    elif isinstance(payload, EigensweepTable):
-        stem, body, kind = "eigensweep", _eigensweep_csv(payload), "csv"
-    elif isinstance(payload, Trajectory):
-        stem, body, kind = "trajectory", _trajectory_csv(payload), "csv"
-    elif isinstance(payload, Histogram):
-        stem, body, kind = "histogram", _histogram_csv(payload), "csv"
-    elif isinstance(payload, ReservoirCurve):
-        stem, body, kind = "reservoir", _reservoir_csv(payload), "csv"
-    elif isinstance(payload, BasisDump):
-        stem, body, kind = "basis", _basis_csv(payload), "csv"
-    elif isinstance(payload, dict):
-        stem, body, kind = "markov_report", _json_text(_jsonable(payload)), "json"
+    if isinstance(record.payload, dict):
+        stem, body, kind = "markov_report", _json_text(_jsonable(record.payload)), "json"
     else:
-        raise ParameterError(f"no writer for payload type {type(payload).__name__}")
+        stem, columns = _columns(record.payload)
+        body, kind = _csv_text(columns), "csv"
     meta = {
         "schema_version": SCHEMA_VERSION,
         "command": record.command,

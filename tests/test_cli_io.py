@@ -15,7 +15,14 @@ from entdyn.config import (
 )
 from entdyn.errors import ConfigError
 from entdyn.evolution import Trajectory
-from entdyn.experiments import DEFAULT_JZ, DEFAULT_T_LIST, THERMAL_W, SweepTable
+from entdyn.experiments import (
+    DEFAULT_JZ,
+    DEFAULT_T_LIST,
+    THERMAL_W,
+    EigensweepTable,
+    ReservoirCurve,
+    SweepTable,
+)
 from entdyn.io import RunRecord, write_results
 from entdyn.spectral_stats import Histogram
 
@@ -165,6 +172,80 @@ def test_histogram_csv_header(tmp_path):
     assert (
         tmp_path / "histogram.csv"
     ).read_text().splitlines()[0] == "bin_left,bin_right,density"
+
+
+_TWO_ROWS = {
+    "s_initial": np.array([0.1, 1.0 / 3.0]),
+    "s_sat": np.array([1.0, 0.9]),
+    "stderr_initial": np.array([0.0, 0.01]),
+}
+_CSV_CASES = {
+    "sweep": (
+        SweepTable(
+            T=np.array([0.5, 2.0]), stderr_sat=np.array([0.02, 1e-17]), runs=2, **_TWO_ROWS
+        ),
+        "T,S_initial,S_sat,delta_S,stderr_initial,stderr_sat,runs\n"
+        "0.5,0.10000000000000001,1,0.90000000000000002,0,0.02,2\n"
+        "2,0.33333333333333331,0.90000000000000002,0.56666666666666665,0.01,"
+        "1.0000000000000001e-17,2\n",
+    ),
+    "eigensweep": (
+        EigensweepTable(
+            rank=np.array([1, 3]),
+            energy=np.array([-1.5, 0.25]),
+            stderr_sat=np.array([0.02, 0.0]),
+            runs=3,
+            **_TWO_ROWS,
+        ),
+        "rank,energy,S_initial,S_sat,delta_S,stderr_initial,stderr_sat,runs\n"
+        "1,-1.5,0.10000000000000001,1,0.90000000000000002,0,0.02,3\n"
+        "3,0.25,0.33333333333333331,0.90000000000000002,0.56666666666666665,0.01,0,3\n",
+    ),
+    "trajectory": (
+        Trajectory(times=np.array([0.0, 1.0]), hcee=np.array([0.0, 1.0 / 3.0])),
+        "time,hcee\n0,0\n1,0.33333333333333331\n",
+    ),
+    "trajectory-baee": (
+        Trajectory(
+            times=np.array([0.0, 1.0]),
+            hcee=np.array([0.0, 1.0 / 3.0]),
+            baee=np.array([0.1, 0.6]),
+        ),
+        "time,hcee,baee\n0,0,0.10000000000000001\n1,0.33333333333333331,0.59999999999999998\n",
+    ),
+    "histogram": (
+        Histogram(
+            bin_left=np.array([0.0, 0.5]),
+            bin_right=np.array([0.5, 1.0]),
+            density=np.array([0.6, 1.4]),
+        ),
+        "bin_left,bin_right,density\n0,0.5,0.59999999999999998\n0.5,1,1.3999999999999999\n",
+    ),
+    "reservoir": (
+        ReservoirCurve(
+            T=np.array([0.0, 2.0]), hcee=np.array([0.2, 0.7]), baee=np.array([0.2, 0.9]), runs=4
+        ),
+        "T,hcee,baee,excess\n0,0.20000000000000001,0.20000000000000001,0\n"
+        "2,0.69999999999999996,0.90000000000000002,0.20000000000000007\n",
+    ),
+    # written by the basis command at L = 4
+    "basis": (
+        None,
+        "ordinal,word,bits\n0,3,1100\n1,5,1010\n2,6,0110\n3,9,1001\n4,10,0101\n5,12,0011\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_CSV_CASES))
+def test_csv_bytes_are_pinned(tmp_path, case, capsys):
+    # integer columns print without ".0", floats with 17 significant digits
+    payload, text = _CSV_CASES[case]
+    if payload is None:
+        assert cli(["basis", "--L", "4", "--out", str(tmp_path)]) == 0
+    else:
+        write_results(_record(payload), tmp_path)
+    stem = case.split("-")[0]
+    assert (tmp_path / f"{stem}.csv").read_text(encoding="utf-8") == text
 
 
 def test_rewrite_is_byte_identical(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 import entdyn
 from entdyn import evolution, operators
 from entdyn.basis import enumerate_sector
-from entdyn.entanglement import hcee, subset_entropy
+from entdyn.entanglement import baee, hcee, subset_entropy
 from entdyn.entanglement import Bipartition
 from entdyn.errors import CapacityError, NumericError, ParameterError
 from entdyn.evolution import (
@@ -337,6 +337,42 @@ def test_run_rqc_needs_rng_or_bonds(basis8, rng):
         run_rqc(state, 1.0, 1.0, 10)
     with pytest.raises(ParameterError):
         run_rqc(state, 1.0, 1.0, 10, bonds=np.array([0, 1]))  # bond 0 invalid
+    # fractional depths, bonds and recorded depths are refused, not truncated
+    with pytest.raises(ParameterError):
+        run_rqc(state, 1.0, 1.0, 5, bonds=[1, 2, 3, 4, 5], record=[0.5, 2.7])
+    with pytest.raises(ParameterError):
+        run_rqc(state, 1.0, 1.0, 5, bonds=[1.7, 2, 3, 4, 5])
+    with pytest.raises(ParameterError):
+        run_rqc(state, 1.0, 1.0, 5.5, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.7, 2.1), (np.pi, np.pi)], ids=["generic", "swap"])
+def test_circuit_readings_match_one_state_calls_and_baee(basis8, rng, alpha, beta):
+    gate = operators.build_two_qubit_gate(alpha, beta)
+    block = np.stack(
+        [random_sector_state(basis8, rng).amplitudes for _ in range(3)], axis=1
+    )
+    bonds = np.random.default_rng(5).integers(1, 8, size=20)
+    marks = [0, 3, 10, 20]
+    h, b = evolution._circuit_readings(block.copy(), gate, basis8, bonds, marks, True)
+    assert h.shape == b.shape == (4, 3)
+    for j in range(3):
+        hj, bj = evolution._circuit_readings(
+            block[:, j].copy(), gate, basis8, bonds, marks, True
+        )
+        assert hj.shape == bj.shape == (4, 1)
+        assert np.abs(h[:, j] - hj[:, 0]).max() < 1e-13
+        assert np.abs(b[:, j] - bj[:, 0]).max() < 1e-13
+    amps = block.copy()
+    snaps = [
+        amps / np.linalg.norm(amps, axis=0)
+        for _ in evolution._apply_circuit(amps, gate, basis8, bonds, marks)
+    ]
+    expected = [[baee(SectorState(basis8, col)) for col in snap.T] for snap in snaps]
+    assert np.abs(b - np.array(expected)).max() < 1e-13
+    if operators.gate_class(alpha, beta) == "SWAP":
+        # site permutations keep the bipartition average
+        assert np.abs(b - b[0]).max() < 1e-12
 
 
 def test_run_rqc_deterministic_given_bonds(basis8, rng):

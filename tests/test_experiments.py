@@ -406,6 +406,7 @@ def test_mean_trajectory_rejects_bad_schedules():
         (ProtocolSpec(kind="thermal"), []),
         (ProtocolSpec(kind="thermal"), [0.0, -1.0]),
         (flo, [0.5, 2.7]),
+        (flo, [0, np.inf]),
         (circ, [0, 10.5]),
         (circ, [-1, 10]),
         (circ, [40, 0, 5]),
@@ -426,11 +427,15 @@ def test_shallow_circuit_records_every_layer():
     circ = ProtocolSpec(kind="rqc", alpha=2.2, beta=0.8)
     traj = mean_trajectory(6, circ, runs=1, depth=8)
     assert traj.times.tolist() == list(range(9))
-    assert experiments.circuit_schedule(10).tolist() == list(range(11))
-    deep = experiments.circuit_schedule(2000)
+    assert experiments.default_schedule("rqc", 10).tolist() == list(range(11))
+    deep = experiments.default_schedule("rqc", 2000)
     assert deep[0] == 0 and deep[-1] == 2000 and deep.size < 2001
     with pytest.raises(ParameterError):
-        experiments.circuit_schedule(0)
+        experiments.default_schedule("rqc", 0)
+    # the other kinds record up to their saturation readings by default
+    flo = experiments.default_schedule("floquet_mbl")
+    assert flo.dtype == np.int64 and flo[-1] == experiments.SAT_PERIODS
+    assert experiments.default_schedule("thermal")[-1] == experiments.SAT_TIME
 
 
 def test_eigenstate_sweep_ranks_cover_spectrum():
