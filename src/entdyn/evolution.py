@@ -102,7 +102,7 @@ def _reduced_phases(values: np.ndarray, factor) -> np.ndarray:
 
 def _check_hermitian(op: OperatorMatrix) -> None:
     defect = op.hermiticity_defect()
-    if defect > _HERM_TOL * max(1.0, _max_abs(op.elements)):
+    if not defect <= _HERM_TOL * max(1.0, _max_abs(op.elements)):
         raise NumericError(f"operator is not hermitian (defect {defect})")
 
 
@@ -193,11 +193,11 @@ def _renormalized(out: np.ndarray, what: str) -> np.ndarray:
     """Columns of ``out`` scaled to unit norm, in place, after the drift guard.
 
     Raises ``NumericError`` when a column's norm has drifted from 1 by more
-    than ``_NORM_DRIFT_TOL``.
+    than ``_NORM_DRIFT_TOL`` or is not finite.
     """
     n = np.linalg.norm(out, axis=0)
     drift = float(np.abs(n - 1.0).max())
-    if drift > _NORM_DRIFT_TOL:
+    if not drift <= _NORM_DRIFT_TOL:  # NaN fails too
         raise NumericError(f"{what} norm drift {drift}")
     out /= n
     return out
@@ -332,67 +332,98 @@ def build_floquet(
 ) -> SpectralDecomposition:
     """Diagonalize the period map ``exp(-i T0 H0) exp(-i T1 Hxy)``.
 
-    Returns a unitary-kind decomposition with eigenphases ``theta`` in
-    (-pi, pi] ascending, so one period acts as ``Z exp(i theta) Z*``.
+    ``H0`` must be diagonal (the z-basis Ising part); neither operator is
+    changed.  Returns a unitary-kind decomposition with eigenphases
+    ``theta`` in (-pi, pi] ascending, so one period acts as
+    ``Z exp(i theta) Z*``.
+
+    About four real dim x dim matrices are alive at any step: only the
+    diagonal of ``H0`` and a copy of ``Hxy`` are kept, so operators passed
+    as temporaries (as the drivers pass them) are freed early, each factor
+    is dropped once the next no longer needs it, and LAPACK writes the
+    Schur form over the map.
     """
     if H0.basis is not Hxy.basis:
         raise ParameterError("H0 and Hxy must share a basis")
-    _require_dense(H0.dim, "Floquet map")
-    F = _period_map(H0, Hxy, T0, T1)
+    basis = H0.basis
+    _require_dense(basis.dim, "Floquet map")
+    d0 = np.diagonal(H0.elements).copy()
+    if np.count_nonzero(H0.elements) != np.count_nonzero(d0):
+        raise ParameterError("H0 must be diagonal")
+    del H0
+    kick = _decompose_owned(OperatorMatrix(basis, Hxy.elements.copy()))
+    del Hxy
+    # complex eigenvectors keep the products, and so the eigenphases that a
+    # 3e11-period reading amplifies, exactly as with complex arithmetic
+    V1 = kick.vectors.astype(np.complex128)
+    p1 = np.exp(-1j * _reduced_phases(kick.values, T1))
+    del kick
+    F = _period_map(np.exp(-1j * _reduced_phases(d0, T0)), V1, p1)
+    del V1
     defect = _unitarity_defect(F)
-    if defect > _UNITARY_TOL:
+    # ``not <=`` raises on NaN too, so this guard keeps NaN and inf from LAPACK
+    if not defect <= _UNITARY_TOL:
         raise NumericError(f"period map is not unitary (defect {defect})")
-    T, Z = scipy.linalg.schur(F, output="complex")
+    # zgees in place on the Fortran-ordered map, with the work size that
+    # scipy.linalg.schur would query, so the arithmetic is the same
+    gees, = scipy.linalg.get_lapack_funcs(("gees",), (F,))
+    lwork = int(gees(_no_sort, F, lwork=-1, overwrite_a=True)[-2][0].real)
+    T, _, _, Z, _, info = gees(_no_sort, F, lwork=lwork, overwrite_a=True)
     del F
-    lam = np.diag(T).copy()
+    if info != 0:
+        raise NumericError(f"complex Schur factorization failed (info {info})")
+    lam = np.diagonal(T).copy()
     np.fill_diagonal(T, 0.0)
     off = _max_abs(T)
-    if off > _UNITARY_TOL:
+    del T
+    if not off <= _UNITARY_TOL:
         raise NumericError(f"period map is not normal (Schur residue {off})")
     mod_err = float(np.abs(np.abs(lam) - 1.0).max())
-    if mod_err > 1e-10:
+    if not mod_err <= 1e-10:
         raise NumericError(f"eigenphase modulus deviates from 1 by {mod_err}")
     theta = np.angle(lam)
     order = np.argsort(theta, kind="stable")
+    # C order, gathered in row blocks: the Fortran-ordered Z has no one-copy
+    # reorder into C order (np.take would first copy it whole)
+    vectors = np.empty_like(Z, order="C")
+    for i in range(0, basis.dim, _ROW_BLOCK):
+        vectors[i : i + _ROW_BLOCK] = Z[i : i + _ROW_BLOCK, order]
     return SpectralDecomposition(
-        kind="unitary",
-        basis=H0.basis,
-        values=theta[order],
-        vectors=np.ascontiguousarray(Z[:, order]),
+        kind="unitary", basis=basis, values=theta[order], vectors=vectors
     )
 
 
+def _no_sort(x):
+    """Eigenvalue selector of an unsorted Schur form (never called)."""
+
+
 def _unitarity_defect(F: np.ndarray) -> float:
-    """``max |F^H F - 1|``, formed in row blocks of ``F^H F``."""
-    worst = 0.0
+    """``max |F^H F - 1|``, formed in row blocks of ``F^H F``; NaN if any entry is."""
+    worst = []
     for i in range(0, F.shape[0], _ROW_BLOCK):
         G = F[:, i : i + _ROW_BLOCK].conj().T @ F
         G[np.arange(G.shape[0]), i + np.arange(G.shape[0])] -= 1.0
-        worst = max(worst, float(np.abs(G).max()))
-    return worst
+        worst.append(np.abs(G).max())
+    return float(np.max(worst))
 
 
-def _period_map(H0: OperatorMatrix, Hxy: OperatorMatrix, T0: float, T1: float) -> np.ndarray:
-    """The dense matrix ``exp(-i T0 H0) exp(-i T1 Hxy)``.
+def _period_map(p0: np.ndarray, V1: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """The period map ``diag(p0) V1 diag(p1) V1^T``, Fortran-ordered.
 
-    Its own function so that the factors are freed before the Schur step;
-    each is dropped as soon as the next product no longer needs it.
+    ``V1`` holds the kick's real eigenvectors as complex numbers, so
+    ``V1.T`` stands for ``V1^H``.  The map is formed one row block at a
+    time and the diagonal factor applied as a BLAS product with a
+    ``(b, b)`` diagonal block: each entry of that product has one nonzero
+    term, so the map is bit for bit the one that products with the
+    permutation eigenvectors of a diagonal ``H0`` give, which scaling the
+    rows elementwise is not.
     """
-    # complex copies keep these products, and so the eigenphases that a
-    # 3e11-period reading amplifies, exactly as with complex eigenvectors
-    d1 = spectral_decompose(Hxy)
-    V1 = d1.vectors.astype(np.complex128)
-    phases1 = np.exp(-1j * _reduced_phases(d1.values, T1))
-    del d1
-    U1 = (V1 * phases1) @ V1.conj().T
-    del V1
-    d0 = spectral_decompose(H0)
-    V0 = d0.vectors.astype(np.complex128)
-    phases0 = np.exp(-1j * _reduced_phases(d0.values, T0))
-    del d0
-    W = V0.conj().T @ U1
-    del U1
-    return (V0 * phases0) @ W
+    dim = p0.size
+    F = np.empty((dim, dim), dtype=np.complex128, order="F")
+    for i in range(0, dim, _ROW_BLOCK):
+        rows = slice(i, i + _ROW_BLOCK)
+        F[rows] = np.diag(p0[rows]) @ ((V1[rows] * p1) @ V1.T)
+    return F
 
 
 def floquet_power(

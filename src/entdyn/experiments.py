@@ -177,6 +177,9 @@ class ProtocolSpec:
                 raise ParameterError("rqc protocol needs explicit alpha and beta")
             W = 0.0 if W is None else W
             jz = 0.0 if jz is None else jz
+        for name, value in (("W", W), ("jz", jz), ("T0", self.T0), ("T1", self.T1)):
+            if not np.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if W < 0:
             raise ParameterError(f"W must be nonnegative, got {W}")
         return replace(self, W=float(W), jz=float(jz))
@@ -348,9 +351,13 @@ def _make_engine(
         basis.L, spec.W, derive_rng(master_seed, run, f"quench:{spec.kind}")
     )
     if spec.kind == "floquet_mbl":
-        H0 = build_ising_z(basis, fields)
-        Hxy = build_xxz(basis, 0.0, DisorderFields.zeros(basis.L))
-        engine.decomp = build_floquet(H0, Hxy, spec.T0, spec.T1)
+        # temporaries, which build_floquet frees once it has what it needs
+        engine.decomp = build_floquet(
+            build_ising_z(basis, fields),
+            build_xxz(basis, 0.0, DisorderFields.zeros(basis.L)),
+            spec.T0,
+            spec.T1,
+        )
     else:
         engine.decomp = _decompose_owned(build_xxz(basis, spec.jz, fields))
     return engine
@@ -437,10 +444,10 @@ def mean_trajectory(
     # circuits record their snapshots in depth order, so every kind takes
     # its schedule in increasing order
     if times.ndim != 1 or times.size == 0 or not (
-        times[0] >= 0 and (np.diff(times) > 0).all()
+        np.isfinite(times).all() and times[0] >= 0 and (np.diff(times) > 0).all()
     ):
         raise ParameterError(
-            "schedule must be nonempty, nonnegative and strictly increasing"
+            "schedule must be nonempty, finite, nonnegative and strictly increasing"
         )
     steps = times
     if kind in ("floquet_mbl", "rqc"):

@@ -47,9 +47,10 @@ _ROW_BLOCK = 64
 # Peak of each dense step in real dim x dim matrices, the operators included:
 # dsyevd overwrites the operator with its eigenvectors and needs two more for
 # work space; eigvalsh works on a copy; building H0, Hxy and their Floquet
-# map and taking its complex Schur form raised the peak by 13.5 matrices at
-# dim 924 and 12.1 at dim 3432.
-_PEAK_MATRICES = {"operator": 1, "decomposition": 3, "spectrum": 2, "Floquet map": 14}
+# map and taking its complex Schur form in place raised the peak by 4.71
+# matrices at dim 924 and 4.11 at dim 3432 (a Floquet _make_engine in a
+# fresh process, VmHWM).
+_PEAK_MATRICES = {"operator": 1, "decomposition": 3, "spectrum": 2, "Floquet map": 5}
 # Doubles per row on top: the solver's vectors, the guards' row blocks and
 # the pages that BLAS touches in its own buffers.  A decomposition at dim 924
 # raised the peak by 3.53 matrices, 3 and about 490 doubles per row.
@@ -104,20 +105,19 @@ class OperatorMatrix:
         return self.basis.dim
 
     def hermiticity_defect(self) -> float:
-        """``max |H - H^T|``, read in row blocks."""
+        """``max |H - H^T|``, read in row blocks; NaN if any entry is."""
         H = self.elements
-        return max(
-            float(np.abs(H[i : i + _ROW_BLOCK] - H[:, i : i + _ROW_BLOCK].T).max())
+        return float(np.max([
+            np.abs(H[i : i + _ROW_BLOCK] - H[:, i : i + _ROW_BLOCK].T).max()
             for i in range(0, self.dim, _ROW_BLOCK)
-        )
+        ]))
 
 
 def _max_abs(M: np.ndarray) -> float:
-    """``max |M|`` of a 2-d array, read in row blocks."""
-    return max(
-        float(np.abs(M[i : i + _ROW_BLOCK]).max())
-        for i in range(0, M.shape[0], _ROW_BLOCK)
-    )
+    """``max |M|`` of a 2-d array, read in row blocks; NaN if any entry is."""
+    return float(np.max([
+        np.abs(M[i : i + _ROW_BLOCK]).max() for i in range(0, M.shape[0], _ROW_BLOCK)
+    ]))
 
 
 @dataclass(frozen=True)

@@ -136,3 +136,35 @@ def oracle_floquet_step(
     U0 = scipy.linalg.expm(-1j * T0 * H0_sector)
     U1 = scipy.linalg.expm(-1j * T1 * Hxy_sector)
     return U0 @ U1
+
+
+_TWO_PI_LD = np.longdouble("6.283185307179586476925286766559005768394")
+
+
+def _phases(values: np.ndarray, t: float) -> np.ndarray:
+    """``exp(-i values t)``, the products reduced mod 2 pi in extended precision."""
+    prod = values.astype(np.longdouble) * np.longdouble(t)
+    return np.exp(-1j * np.mod(prod, _TWO_PI_LD).astype(np.float64))
+
+
+def oracle_period_map(
+    H0_sector: np.ndarray, Hxy_sector: np.ndarray, T0: float, T1: float
+) -> np.ndarray:
+    """``exp(-i T0 H0) exp(-i T1 Hxy)`` by three complex GEMMs, C-ordered.
+
+    The earlier dense formula, kept as the bitwise reference of the
+    package's period map: the kick ``U1 = V1 p1 V1^H`` from the complex
+    eigenvectors of ``Hxy``, then ``V0 p0 V0^H U1`` with the permutation
+    eigenvectors ``V0`` of the diagonal ``H0``, columns in ascending order
+    of its diagonal.  With one BLAS thread ``np.linalg.eigh`` gives the
+    package's kick eigenvectors bit for bit.
+    """
+    e1, V1 = np.linalg.eigh(Hxy_sector)
+    V1 = V1.astype(np.complex128)
+    U1 = (V1 * _phases(e1, T1)) @ V1.conj().T
+    d = np.diag(H0_sector).copy()
+    order = np.argsort(d, kind="stable")
+    V0 = np.zeros(H0_sector.shape, dtype=np.complex128)
+    V0[order, np.arange(d.size)] = 1.0
+    W = V0.conj().T @ U1
+    return (V0 * _phases(d[order], T0)) @ W

@@ -323,6 +323,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "protocol.kind" in err
 
 
+def test_cli_refuses_a_nonfinite_floquet_period(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    for key in ("T0", "T1"):
+        cfg.write_text(f"L = 6\nruns = 1\nprotocol.kind = floquet_mbl\nprotocol.{key} = nan\n")
+        assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_cli_evolve_rejects_rqc(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(
@@ -355,9 +364,9 @@ def test_cli_shallow_rqc_and_conflicting_schedule(tmp_path, capsys):
 
 
 def test_cli_refuses_what_memory_cannot_hold(tmp_path, capsys, monkeypatch):
-    # with 8 GiB, an L = 16 Floquet map (estimated at 17 GiB) is refused up
+    # with 5 GiB, an L = 16 Floquet map (estimated at 6.3 GiB) is refused up
     # front, and an L = 16 decomposition (3.8 GiB) is not
-    monkeypatch.setattr(operators, "_memory_budget", lambda: 8 << 30)
+    monkeypatch.setattr(operators, "_memory_budget", lambda: 5 << 30)
     # refusing up front means before the first run builds anything
     def no_run(*args, **kwargs):
         raise AssertionError("a run started before the refusal")

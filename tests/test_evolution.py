@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal, getcontext
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from entdyn.basis import enumerate_sector
 from entdyn.entanglement import baee, hcee, subset_entropy
 from entdyn.entanglement import Bipartition
 from entdyn.errors import CapacityError, NumericError, ParameterError
+from entdyn.experiments import ProtocolSpec, _make_engine
 from entdyn.evolution import (
     build_floquet,
     floquet_power,
@@ -108,6 +110,46 @@ for W, jz in [(0.5, 0.5), (5.0, 0.5), (0.0, 0.0)]:  # thermal, MBL, free fermion
 """
     lines = _run_one_thread(code).split("\n")[:3]
     assert lines == ["True True True"] * 3
+
+
+def test_period_map_matches_three_gemm_oracle_bitwise():
+    # the row-block map equals the earlier three-GEMM map bit for bit, and
+    # build_floquet returns the sorted Schur form of that map
+    code = """
+import numpy as np, scipy.linalg
+from entdyn import evolution
+from entdyn.basis import enumerate_sector
+from entdyn.operators import DisorderFields, build_ising_z, build_xxz, sample_fields
+from oracles import oracle_period_map
+
+maps = []
+period_map = evolution._period_map
+
+def keep_a_copy(*args):  # build_floquet overwrites the map with its Schur form
+    F = period_map(*args)
+    maps.append(F.copy(order="F"))
+    return F
+
+evolution._period_map = keep_a_copy
+bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+for L in (8, 10):
+    basis = enumerate_sector(L, 0)
+    Hxy = build_xxz(basis, 0.0, DisorderFields.zeros(L))
+    for seed in range(3):
+        H0 = build_ising_z(basis, sample_fields(L, 5.0, np.random.default_rng(seed)))
+        d = evolution.build_floquet(H0, Hxy, 1.0, 0.4)
+        F = oracle_period_map(H0.elements, Hxy.elements, 1.0, 0.4)
+        T, Z = scipy.linalg.schur(F, output="complex")
+        theta = np.angle(np.diag(T))
+        order = np.argsort(theta, kind="stable")
+        print(np.array_equal(bits(maps.pop()), bits(F)),
+              np.array_equal(bits(d.values), bits(theta[order])),
+              np.array_equal(bits(d.vectors), bits(Z[:, order])),
+              d.vectors.flags.c_contiguous)
+"""
+    tests_dir = str(Path(__file__).resolve().parent)
+    lines = _run_one_thread(f"import sys; sys.path.insert(0, {tests_dir!r})\n" + code)
+    assert lines.split("\n")[:6] == ["True True True True"] * 6
 
 
 def test_public_decompose_copies_and_owned_overwrites(rng):
@@ -285,6 +327,71 @@ def test_floquet_guards_read_the_last_partial_block(basis6, monkeypatch):
     monkeypatch.setattr(evolution, "_period_map", lambda *a: 1.001 * np.eye(basis6.dim))
     with pytest.raises(NumericError):
         build_floquet(H, H)
+
+
+def test_guards_raise_on_nan(basis6, monkeypatch):
+    # a NaN compares False with every bound, so each guard must test
+    # "not below the bound" rather than "above it"
+    out = np.eye(3, dtype=complex)
+    out[1, 1] = np.nan
+    with pytest.raises(NumericError, match="norm drift"):
+        evolution._renormalized(out, "test")
+    F = np.eye(100, dtype=complex)
+    F[-1, -1] = np.nan  # in the last row block, after a finite one
+    assert np.isnan(evolution._unitarity_defect(F))
+    M = np.zeros((100, 3))
+    M[70, 0] = np.nan
+    assert np.isnan(operators._max_abs(M))
+    H = np.eye(basis6.dim)
+    H[-1, -1] = np.nan
+    with pytest.raises(NumericError, match="hermitian"):
+        spectral_decompose(OperatorMatrix(basis6, H))
+    # NaN and inf in the period map stop at the unitarity guard, before LAPACK
+    H0 = OperatorMatrix(basis6, np.eye(basis6.dim))
+    for bad in (np.nan, np.inf):
+        F = np.eye(basis6.dim, dtype=complex)
+        F[0, 1] = bad
+        monkeypatch.setattr(evolution, "_period_map", lambda *a: np.asfortranarray(F))
+        with pytest.raises(NumericError, match="not unitary"), np.errstate(invalid="ignore"):
+            build_floquet(H0, H0)
+
+
+def test_build_floquet_requires_diagonal_h0_and_keeps_its_operators(rng):
+    basis, H = _sector_h(6, 0.5, rng)
+    H0 = build_ising_z(basis, sample_fields(6, 5.0, rng))
+    before = (H0.elements.copy(), H.elements.copy())
+    d = build_floquet(H0, H)
+    assert np.array_equal(H0.elements, before[0]) and np.array_equal(H.elements, before[1])
+    assert d.vectors.flags.c_contiguous
+    with pytest.raises(ParameterError, match="diagonal"):
+        build_floquet(H, H)
+
+
+def _floquet_engine_peak(L: int) -> tuple[int, int]:
+    """tracemalloc peak of one Floquet ``_make_engine`` at ``L``, and its dim.
+
+    tracemalloc sees numpy's buffers, LAPACK's work arrays among them.
+    """
+    spec = ProtocolSpec(kind="floquet_mbl")
+    _make_engine(enumerate_sector(4, 0), spec, 0, 0)  # lazy imports
+    basis = enumerate_sector(L, 0)
+    tracemalloc.start()
+    try:
+        _make_engine(basis, spec, 0, 0)
+        return tracemalloc.get_traced_memory()[1], basis.dim
+    finally:
+        tracemalloc.stop()
+
+
+def test_floquet_engine_peak_stays_at_the_counted_matrices():
+    # the map's two (64, dim) complex row blocks weigh 256 / dim matrices:
+    # a full one at L = 10, where only the row term of the estimate covers
+    # them, and 0.28 at L = 12, where the count alone does
+    peak, dim = _floquet_engine_peak(10)
+    assert peak <= operators._dense_peak(dim, "Floquet map")
+    peak, dim = _floquet_engine_peak(12)
+    assert peak <= operators._PEAK_MATRICES["Floquet map"] * 8 * dim**2
+    assert peak <= operators._dense_peak(dim, "Floquet map")
 
 
 def test_floquet_zero_times_is_identity(rng):

@@ -115,6 +115,11 @@ def test_protocol_validation():
     swap = ProtocolSpec(kind="rqc", alpha=np.pi, beta=np.pi).normalized()
     assert swap.is_swap
     assert not ProtocolSpec(kind="rqc", alpha=1.0, beta=1.0).normalized().is_swap
+    for field_name in ("W", "jz", "T0", "T1"):
+        for value in (np.nan, np.inf):
+            spec = ProtocolSpec(kind="floquet_mbl", **{field_name: value})
+            with pytest.raises(ParameterError, match=field_name):
+                spec.normalized()
 
 
 def test_sample_initial_product_is_basis_state(basis8):
@@ -411,6 +416,8 @@ def test_mean_trajectory_rejects_bad_schedules():
         (circ, [-1, 10]),
         (circ, [40, 0, 5]),
         (ProtocolSpec(kind="thermal"), [1.0, 1.0]),
+        (ProtocolSpec(kind="thermal"), [0.0, np.inf]),
+        (ProtocolSpec(kind="thermal"), [0.0, np.nan]),
     ]
     for spec, schedule in bad:
         with pytest.raises(ParameterError):
