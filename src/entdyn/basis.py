@@ -178,22 +178,25 @@ def _subset_positions(basis: SectorBasis, sites: tuple[int, ...]) -> np.ndarray:
 
 
 def subsystem_split(basis: SectorBasis, subset) -> SubsystemSplit:
-    """Decompose the sector along subset A (1-based sites); cached per basis."""
+    """Decompose the sector along subset A (1-based sites).
+
+    The positions are cached per basis; the split itself is not, because
+    it refers to the basis, and a basis whose cache refers back to it
+    lives until a full garbage collection.
+    """
     sites = _validate_subset(basis.L, subset)
     key = ("split", sites)
-    if key in basis._cache:
-        return basis._cache[key]
+    if key not in basis._cache:
+        basis._cache[key] = _subset_positions(basis, sites)
     ks, shapes, offsets, _, _ = _split_geometry(basis, len(sites))
-    split = SubsystemSplit(
+    return SubsystemSplit(
         basis=basis,
         subset=sites,
         block_nup=ks.copy(),
         block_shape=shapes.copy(),
         block_offset=offsets.copy(),
-        positions=_subset_positions(basis, sites),
+        positions=basis._cache[key],
     )
-    basis._cache[key] = split
-    return split
 
 
 def bond_groups(basis: SectorBasis, bond: int):

@@ -7,13 +7,14 @@ spectrum is that of the Gram matrix of the smaller side of the
 coefficient block.
 
 Every entropy goes through one kernel, ``_entropies_of_scattered``.  A
-caller scatters the amplitudes of many states (rows) into the block
-layout of ``subsystem_split``; the kernel forms each block's Gram matrices
-for all rows at once, gathers the eigenvalues, checks that each row's
-spectral weight is one, and applies the clip policy.  Three callers feed
-it: ``subset_entropy`` (one state, any subset), ``_half_chain_entropies``
-(many states, the half chain) and ``bipartition_entropies`` (one state,
-many half-size subsets).  Two aggregate quantities drive the experiments:
+caller lays the amplitudes of many states (rows) out in the block layout
+of ``subsystem_split``, by scatter or by gather; the kernel forms each
+block's Gram matrices for all rows at once, gathers the eigenvalues,
+checks that each row's spectral weight is one, and applies the clip
+policy.  Three callers feed it: ``subset_entropy`` (one state, any
+subset), ``_half_chain_entropies`` (many states, the half chain) and
+``bipartition_entropies`` (one state, many half-size subsets, on a thread
+pool).  Two aggregate quantities drive the experiments:
 
 * ``hcee``  -- entropy of the left half chain, sites 1..L/2.
 * ``baee``  -- entropy averaged over every equal bipartition of the chain,
@@ -23,6 +24,8 @@ many half-size subsets).  Two aggregate quantities drive the experiments:
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -169,45 +172,89 @@ def _half_chain_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
     return _subset_entropies(basis, range(1, basis.L // 2 + 1), block)
 
 
-_POSITIONS_CACHE_MAX_L = 14
+_SLOTS_CACHE_MAX_L = 14
 
 
-def _bipartition_positions(basis: SectorBasis, start: int, stop: int) -> np.ndarray:
-    """Positions rows for bipartitions[start:stop] (int32, all cached when small)."""
-    key = "baee_positions"
-    if key in basis._cache:
-        return basis._cache[key][start:stop]
-    cache = basis.L <= _POSITIONS_CACHE_MAX_L
-    bips = enumerate_bipartitions(basis.L)
-    if not cache:
-        bips = bips[start:stop]
-    mat = np.empty((len(bips), basis.dim), dtype=np.int32)
-    for i, bp in enumerate(bips):
-        mat[i] = _subset_positions(basis, bp.sites)
-    if not cache:
-        return mat
-    basis._cache[key] = mat
-    return mat[start:stop]
+def _cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def bipartition_entropies(state: SectorState, chunk_size: int = 256) -> np.ndarray:
-    """Entropy of every canonical bipartition, in enumeration order."""
+def _bipartition_slots(basis: SectorBasis, start: int, stop: int) -> np.ndarray:
+    """Sector ordinal at every block-layout slot, for bipartitions[start:stop].
+
+    Row ``i`` inverts the positions of bipartition ``start + i``, so
+    ``amps[rows]`` lays one state out in the blocks of every bipartition.
+    """
+    rows = np.empty((stop - start, basis.dim), dtype=np.int32)
+    ordinals = np.arange(basis.dim, dtype=np.int32)
+    for row, bp in zip(rows, enumerate_bipartitions(basis.L)[start:stop]):
+        row[_subset_positions(basis, bp.sites)] = ordinals
+    return rows
+
+
+def _check_chunk_size(chunk_size) -> None:
+    if (
+        isinstance(chunk_size, bool)
+        or not isinstance(chunk_size, (int, np.integer))
+        or chunk_size < 1
+    ):
+        raise ParameterError(
+            f"chunk_size must be a positive integer, got {chunk_size!r}"
+        )
+
+
+def bipartition_entropies(state: SectorState, chunk_size: int = 128) -> np.ndarray:
+    """Entropy of every canonical bipartition, in enumeration order.
+
+    The bipartitions go in chunks of ``chunk_size``; each chunk gathers its
+    rows, takes their entropies and writes its own slice of the result.
+    The chunks run on a thread pool with one worker per CPU the process
+    may use (the calling thread alone on one CPU): LAPACK and the Gram
+    products release the GIL.  No chunk depends on another, so the
+    entropies are the same bits for any number of workers.  Up to
+    L = 14 the gather rows are kept on the basis, stored once all chunks
+    have filled them; workers never write the basis cache.
+    """
+    _check_chunk_size(chunk_size)
     basis = state.basis
+    half = basis.L // 2
     n = len(enumerate_bipartitions(basis.L))
-    out = np.empty(n, dtype=np.float64)
+    _split_geometry(basis, half)  # cached here, only read by the workers
+    cached = basis._cache.get("baee_slots")
+    fresh = None
+    if cached is None and basis.L <= _SLOTS_CACHE_MAX_L:
+        fresh = np.empty((n, basis.dim), dtype=np.int32)
     amps = state.amplitudes
-    rows = np.arange(chunk_size)[:, None]
-    for start in range(0, n, chunk_size):
+    out = np.empty(n, dtype=np.float64)
+
+    def chunk(start: int) -> None:
         stop = min(start + chunk_size, n)
-        pos = _bipartition_positions(basis, start, stop)
-        m = stop - start
-        buf = np.zeros((m, basis.dim), dtype=np.complex128)
-        buf[rows[:m], pos] = amps
-        out[start:stop] = _entropies_of_scattered(basis, buf, basis.L // 2)
+        if cached is not None:
+            rows = cached[start:stop]
+        else:
+            rows = _bipartition_slots(basis, start, stop)
+            if fresh is not None:
+                fresh[start:stop] = rows
+        out[start:stop] = _entropies_of_scattered(basis, amps[rows], half)
+
+    starts = range(0, n, chunk_size)
+    workers = min(len(starts), _cpus())
+    if workers == 1:
+        for start in starts:
+            chunk(start)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for _ in pool.map(chunk, starts):
+                pass
+    if fresh is not None:
+        basis._cache["baee_slots"] = fresh
     return out
 
 
-def baee(state: SectorState, chunk_size: int = 256) -> float:
+def baee(state: SectorState, chunk_size: int = 128) -> float:
     """Bipartition-averaged entanglement entropy (exhaustive mean)."""
     return float(bipartition_entropies(state, chunk_size=chunk_size).mean())
 

@@ -4,19 +4,45 @@ Everything here works in the full 2**L Hilbert space with dense tensors,
 deliberately sharing no code with the package internals: entropies come
 from an SVD after axis permutation, Hamiltonians from explicit Kronecker
 products, and time evolution from ``scipy.linalg.expm``.  Meant for
-L <= 10.
+L <= 10.  ``run_one_thread`` runs a bitwise check in a fresh interpreter.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
+import entdyn
 from entdyn.basis import SectorBasis
 from entdyn.entanglement import enumerate_bipartitions
 from entdyn.state import SectorState
+
+
+def run_one_thread(code: str) -> str:
+    """Run ``code`` in a fresh interpreter with one BLAS thread; its stdout.
+
+    numpy and scipy each bundle their own BLAS, and with several threads the
+    two may split a product differently, which moves the last bits.  The
+    child imports ``entdyn`` from this checkout and can import this module.
+    """
+    env = dict(os.environ)
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(Path(entdyn.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    env["PYTHONPATH"] = os.pathsep.join([src, tests, env.get("PYTHONPATH", "")])
+    p = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert p.returncode == 0, p.stderr
+    return p.stdout
+
 
 I2 = np.eye(2)
 SX = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -331,8 +331,9 @@ def test_reservoir_curve_shape():
 @pytest.mark.skipif(
     os.environ.get("ENTDYN_HEAVY") != "1",
     reason=(
-        "about 13 h on one BLAS thread: 72 runs of 37 baee of ~17.5 s each "
-        "plus a ~1.3 s Chebyshev preparation, ~0.2 GB peak; set ENTDYN_HEAVY=1"
+        "about 6 h on one BLAS thread and two CPUs: 72 runs of 37 baee of "
+        "~8 s each plus a ~1.3 s Chebyshev preparation, ~0.2 GB peak; "
+        "set ENTDYN_HEAVY=1"
     ),
 )
 def test_reservoir_curve_heavy_scale():

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from entdyn.basis import (
     enumerate_sector,
     subsystem_split,
 )
+from entdyn.entanglement import baee, hcee
 from entdyn.errors import CapacityError, ParameterError, StateNotInSector
+from entdyn.state import random_sector_state
 
 
 def test_sector_dimensions():
@@ -129,3 +133,22 @@ def test_bond_groups_bounds(basis8):
         bond_groups(basis8, 0)
     with pytest.raises(ParameterError):
         bond_groups(basis8, 8)
+
+
+def test_basis_dies_without_a_garbage_collection():
+    # nothing the basis caches may refer back to it, or every driver call's
+    # basis and its cached rows would wait for a full collection
+    gc.disable()
+    try:
+        basis = enumerate_sector(8, 0)
+        state = random_sector_state(basis, np.random.default_rng(1))
+        assert subsystem_split(basis, (1, 3)).basis is basis
+        baee(state)
+        hcee(state)
+        bond_groups(basis, 2)
+        assert len(basis._cache) >= 4
+        ref = weakref.ref(basis)
+        del basis, state
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -1,9 +1,12 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from entdyn import entanglement
 from entdyn.basis import enumerate_sector
 from entdyn.entanglement import (
     Bipartition,
@@ -19,7 +22,7 @@ from entdyn.entanglement import (
 from entdyn.errors import NumericError, ParameterError
 from entdyn.state import SectorState, random_sector_state
 
-from oracles import oracle_baee, oracle_subset_entropy
+from oracles import oracle_baee, oracle_subset_entropy, run_one_thread
 
 
 def test_bipartition_canonical_contains_site_one():
@@ -130,6 +133,92 @@ def test_bipartition_entropies_batched_matches_scalar(rng):
             assert ent[i] == subset_entropy(state, bp.sites)
         # odd chunk size exercises the chunked path
         assert np.array_equal(ent, bipartition_entropies(state, chunk_size=7))
+
+
+def _entropy_bits(L, chunk_size, rng):
+    """``uint64`` views of two calls on one new basis: filling, then cached."""
+    basis = enumerate_sector(L, 0)
+    state = random_sector_state(basis, rng)
+    first = bipartition_entropies(state, chunk_size=chunk_size)
+    second = bipartition_entropies(state, chunk_size=chunk_size)
+    return np.concatenate([first, second]).view(np.uint64)
+
+
+# (L, chunk size): small chunks give the small chains several chunks
+_POOL_CASES = [(8, 7), (10, 7), (12, 7), (12, 128), (14, 128)]
+
+
+def test_pool_matches_one_worker_bitwise(monkeypatch):
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    for L, chunk in _POOL_CASES:
+        pooled = _entropy_bits(L, chunk, np.random.default_rng(L))
+        with monkeypatch.context() as m:
+            m.setattr(entanglement, "_cpus", lambda: 1)
+            serial = _entropy_bits(L, chunk, np.random.default_rng(L))
+        # more workers than cores, switching threads often
+        with monkeypatch.context() as m:
+            m.setattr(entanglement, "_cpus", lambda: 8)
+            sys.setswitchinterval(1e-6)
+            try:
+                crowded = _entropy_bits(L, chunk, np.random.default_rng(L))
+            finally:
+                sys.setswitchinterval(interval)
+        assert np.array_equal(pooled, serial), L
+        assert np.array_equal(crowded, serial), L
+    assert threading.active_count() == threads
+
+
+def test_pool_matches_one_worker_bitwise_on_one_blas_thread():
+    code = """
+import numpy as np
+from entdyn import entanglement
+from test_entanglement import _POOL_CASES, _entropy_bits
+cpus = entanglement._cpus
+for L, chunk in _POOL_CASES:
+    pooled = _entropy_bits(L, chunk, np.random.default_rng(L))
+    entanglement._cpus = lambda: 1
+    serial = _entropy_bits(L, chunk, np.random.default_rng(L))
+    entanglement._cpus = cpus
+    print(np.array_equal(pooled, serial))
+"""
+    lines = run_one_thread(code).split()
+    assert lines == ["True"] * len(_POOL_CASES)
+
+
+def test_uncached_rows_match_cached(monkeypatch):
+    # above the cache limit (L = 16 and up) every chunk builds its own rows
+    cached = _entropy_bits(12, 100, np.random.default_rng(3))
+    monkeypatch.setattr(entanglement, "_SLOTS_CACHE_MAX_L", 10)
+    basis = enumerate_sector(12, 0)
+    state = random_sector_state(basis, np.random.default_rng(3))
+    assert np.array_equal(
+        cached[: len(cached) // 2],
+        bipartition_entropies(state, chunk_size=100).view(np.uint64),
+    )
+    assert "baee_slots" not in basis._cache
+
+
+def test_pool_raises_a_weight_defect(rng, monkeypatch):
+    monkeypatch.setattr(entanglement, "_cpus", lambda: 4)
+    threads = threading.active_count()
+    state = random_sector_state(enumerate_sector(12, 0), rng)
+    state.amplitudes *= 1 + 1e-6
+    with pytest.raises(NumericError, match="spectral weight"):
+        bipartition_entropies(state)
+    with pytest.raises(NumericError, match="spectral weight"):
+        baee(state, chunk_size=50)
+    assert threading.active_count() == threads
+
+
+def test_chunk_size_must_be_a_positive_integer(state8):
+    for bad in (0, -3, 2.5, 4.0, True, "8", None):
+        with pytest.raises(ParameterError, match="chunk_size"):
+            bipartition_entropies(state8, chunk_size=bad)
+        with pytest.raises(ParameterError, match="chunk_size"):
+            baee(state8, chunk_size=bad)
+    ent = bipartition_entropies(state8, chunk_size=np.int64(5))
+    assert np.array_equal(ent, bipartition_entropies(state8, chunk_size=35))
 
 
 def test_baee_is_mean_of_cut_entropies(rng, basis8):

@@ -1,14 +1,9 @@
-import os
-import subprocess
-import sys
 import tracemalloc
 from decimal import Decimal, getcontext
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import entdyn
 from entdyn import evolution, operators
 from entdyn.basis import enumerate_sector
 from entdyn.entanglement import baee, hcee, subset_entropy
@@ -38,6 +33,7 @@ from oracles import (
     dense_xxz,
     oracle_floquet_step,
     oracle_propagate,
+    run_one_thread,
     sector_submatrix,
 )
 
@@ -76,24 +72,6 @@ def test_spectrum_matches_decompose(rng):
     assert np.allclose(spectrum(H), spectral_decompose(H).values, atol=1e-12)
 
 
-def _run_one_thread(code: str) -> str:
-    """Run ``code`` in a fresh interpreter with one BLAS thread; its stdout.
-
-    numpy and scipy each bundle their own BLAS, and with several threads the
-    two may split a product differently, which moves the last bits.
-    """
-    env = dict(os.environ)
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    src = str(Path(entdyn.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-    p = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=300,
-    )
-    assert p.returncode == 0, p.stderr
-    return p.stdout
-
-
 def test_owned_decomposition_matches_numpy_bitwise():
     code = """
 import numpy as np
@@ -108,7 +86,7 @@ for W, jz in [(0.5, 0.5), (5.0, 0.5), (0.0, 0.0)]:  # thermal, MBL, free fermion
     print(np.array_equal(d.values, vals), np.array_equal(d.vectors, vecs),
           d.vectors.flags.c_contiguous)
 """
-    lines = _run_one_thread(code).split("\n")[:3]
+    lines = run_one_thread(code).split("\n")[:3]
     assert lines == ["True True True"] * 3
 
 
@@ -147,8 +125,7 @@ for L in (8, 10):
               np.array_equal(bits(d.vectors), bits(Z[:, order])),
               d.vectors.flags.c_contiguous)
 """
-    tests_dir = str(Path(__file__).resolve().parent)
-    lines = _run_one_thread(f"import sys; sys.path.insert(0, {tests_dir!r})\n" + code)
+    lines = run_one_thread(code)
     assert lines.split("\n")[:6] == ["True True True True"] * 6
 
 
@@ -214,7 +191,7 @@ before = peak()
 {call.format(basis="basis")}
 print(peak() - before, _dense_peak(basis.dim, "{step}"), 8 * basis.dim**2)
 """
-    rise, estimate, matrix = map(int, _run_one_thread(code).split())
+    rise, estimate, matrix = map(int, run_one_thread(code).split())
     assert 3 * matrix <= rise <= estimate
 
 
