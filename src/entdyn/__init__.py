@@ -25,7 +25,7 @@ from .entanglement import (
     baee,
     bipartition_entropies,
     enumerate_bipartitions,
-    haar_sector_average,
+    haar_sector_mean_exact,
     hcee,
     subset_entropy,
 )
@@ -101,7 +101,7 @@ __all__ = [
     "hcee",
     "bipartition_entropies",
     "baee",
-    "haar_sector_average",
+    "haar_sector_mean_exact",
     "SpectralDecomposition",
     "spectral_decompose",
     "spectrum",

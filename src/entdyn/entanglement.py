@@ -12,9 +12,10 @@ of ``subsystem_split``, by scatter or by gather; the kernel forms each
 block's Gram matrices for all rows at once, gathers the eigenvalues,
 checks that each row's spectral weight is one, and applies the clip
 policy.  Three callers feed it: ``subset_entropy`` (one state, any
-subset), ``_half_chain_entropies`` (many states, the half chain) and
-``bipartition_entropies`` (one state, many half-size subsets, on a thread
-pool).  Two aggregate quantities drive the experiments:
+subset), ``_half_chain_entropies`` (a block of states, the half chain) and
+``_bipartition_entropies`` (a block of states, every canonical
+bipartition, on a thread pool); ``bipartition_entropies`` and ``baee``
+are its one-column calls.  Two aggregate quantities drive the experiments:
 
 * ``hcee``  -- entropy of the left half chain, sites 1..L/2.
 * ``baee``  -- entropy averaged over every equal bipartition of the chain,
@@ -29,6 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb, fsum, log
 
 import numpy as np
 
@@ -36,7 +38,6 @@ from .basis import (
     SectorBasis,
     _split_geometry,
     _subset_positions,
-    enumerate_sector,
     subsystem_split,
 )
 from .errors import NumericError, ParameterError
@@ -173,6 +174,8 @@ def _half_chain_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
 
 
 _SLOTS_CACHE_MAX_L = 14
+# rows (bipartitions x states) per chunk of the bipartition entropies
+_CHUNK_ROWS = 128
 
 
 def _cpus() -> int:
@@ -195,31 +198,21 @@ def _bipartition_slots(basis: SectorBasis, start: int, stop: int) -> np.ndarray:
     return rows
 
 
-def _check_chunk_size(chunk_size) -> None:
-    if (
-        isinstance(chunk_size, bool)
-        or not isinstance(chunk_size, (int, np.integer))
-        or chunk_size < 1
-    ):
-        raise ParameterError(
-            f"chunk_size must be a positive integer, got {chunk_size!r}"
-        )
+def _bipartition_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
+    """Entropy of every canonical bipartition of every unit column of a block.
 
-
-def bipartition_entropies(state: SectorState, chunk_size: int = 128) -> np.ndarray:
-    """Entropy of every canonical bipartition, in enumeration order.
-
-    The bipartitions go in chunks of ``chunk_size``; each chunk gathers its
-    rows, takes their entropies and writes its own slice of the result.
-    The chunks run on a thread pool with one worker per CPU the process
-    may use (the calling thread alone on one CPU): LAPACK and the Gram
-    products release the GIL.  No chunk depends on another, so the
-    entropies are the same bits for any number of workers.  Up to
-    L = 14 the gather rows are kept on the basis, stored once all chunks
-    have filled them; workers never write the basis cache.
+    Returns ``(m, n)`` for a ``(dim, m)`` block and the n bipartitions in
+    enumeration order.  Each chunk takes ``c = max(1, _CHUNK_ROWS // m)``
+    bipartitions of all m states, gathers their ``m * c`` rows, takes
+    their entropies and writes its own columns of the result.  The chunks
+    run on a thread pool with one worker per CPU the process may use (the
+    calling thread alone on one CPU): LAPACK and the Gram products release
+    the GIL.  No chunk depends on another, and each row's entropy depends
+    on that row alone, so the entropies are the same bits for any number
+    of workers or states.  Up to L = 14 the gather rows are kept on the
+    basis, stored once all chunks have filled them; workers never write
+    the basis cache.
     """
-    _check_chunk_size(chunk_size)
-    basis = state.basis
     half = basis.L // 2
     n = len(enumerate_bipartitions(basis.L))
     _split_geometry(basis, half)  # cached here, only read by the workers
@@ -227,20 +220,24 @@ def bipartition_entropies(state: SectorState, chunk_size: int = 128) -> np.ndarr
     fresh = None
     if cached is None and basis.L <= _SLOTS_CACHE_MAX_L:
         fresh = np.empty((n, basis.dim), dtype=np.int32)
-    amps = state.amplitudes
-    out = np.empty(n, dtype=np.float64)
+    amps = np.ascontiguousarray(block.T, dtype=np.complex128)
+    m = amps.shape[0]
+    c = max(1, _CHUNK_ROWS // m)
+    out = np.empty((m, n), dtype=np.float64)
 
     def chunk(start: int) -> None:
-        stop = min(start + chunk_size, n)
+        stop = min(start + c, n)
         if cached is not None:
             rows = cached[start:stop]
         else:
             rows = _bipartition_slots(basis, start, stop)
             if fresh is not None:
                 fresh[start:stop] = rows
-        out[start:stop] = _entropies_of_scattered(basis, amps[rows], half)
+        buf = np.take(amps, rows, axis=1).reshape(m * (stop - start), basis.dim)
+        ent = _entropies_of_scattered(basis, buf, half)
+        out[:, start:stop] = ent.reshape(m, stop - start)
 
-    starts = range(0, n, chunk_size)
+    starts = range(0, n, c)
     workers = min(len(starts), _cpus())
     if workers == 1:
         for start in starts:
@@ -254,38 +251,32 @@ def bipartition_entropies(state: SectorState, chunk_size: int = 128) -> np.ndarr
     return out
 
 
-def baee(state: SectorState, chunk_size: int = 128) -> float:
+def bipartition_entropies(state: SectorState) -> np.ndarray:
+    """Entropy of every canonical bipartition, in enumeration order."""
+    return _bipartition_entropies(state.basis, state.amplitudes[:, None])[0]
+
+
+def baee(state: SectorState) -> float:
     """Bipartition-averaged entanglement entropy (exhaustive mean)."""
-    return float(bipartition_entropies(state, chunk_size=chunk_size).mean())
+    return float(bipartition_entropies(state).mean())
 
 
-@dataclass(frozen=True)
-class HaarEstimate:
-    """Monte Carlo estimate of the sector-mean half-chain entropy."""
+def haar_sector_mean_exact(L: int) -> float:
+    """Mean half-chain entropy (bits) of Haar-random states of the zero sector.
 
-    L: int
-    mean: float
-    stderr: float
-    samples: int
-
-
-def haar_sector_average(
-    L: int, samples: int, rng: np.random.Generator, batch: int = 1024
-) -> HaarEstimate:
-    """Sample Haar sector states and average their half-chain entropy."""
-    if samples < 2:
-        raise ParameterError(f"need at least 2 samples, got {samples}")
-    basis = enumerate_sector(L, 0)
-    values = np.empty(samples, dtype=np.float64)
-    done = 0
-    while done < samples:
-        m = min(batch, samples - done)
-        z = rng.standard_normal((m, basis.dim)) + 1j * rng.standard_normal(
-            (m, basis.dim)
-        )
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        values[done : done + m] = _half_chain_entropies(basis, z.T)
-        done += m
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / np.sqrt(samples))
-    return HaarEstimate(L=L, mean=mean, stderr=stderr, samples=samples)
+    The sector state's reduced matrix is block diagonal over the up count
+    k of the left half; with block sides m <= n and sector dimension D,
+    the mean is the sum over blocks of
+    ``(d_A d_B / D) [psi(D+1) - psi(n+1) - (m-1)/(2n)]`` nats (Bianchi &
+    Dona, PRD 100, 105010), with ``psi(k+1) = H_k - gamma``.
+    """
+    if L < 2 or L % 2 != 0:
+        raise ParameterError(f"L must be even and at least 2, got {L}")
+    half = L // 2
+    D = comb(L, half)
+    total = 0.0
+    for k in range(half + 1):
+        d = comb(half, k)  # square block: d_A = C(L/2, k) = C(L/2, L/2 - k) = d_B
+        harmonic = fsum(1.0 / j for j in range(d + 1, D + 1))  # H_D - H_d
+        total += d * d / D * (harmonic - (d - 1) / (2 * d))
+    return total / log(2.0)

@@ -28,9 +28,9 @@ import scipy.linalg
 
 from . import _kernels
 from .basis import SectorBasis, bond_groups
-from .entanglement import _half_chain_entropies
-from .entanglement import baee as _baee
-# _hcee is unused here: entbench/tracer.py wraps it
+from .entanglement import _bipartition_entropies, _half_chain_entropies
+# _baee and _hcee are unused here: entbench/tracer.py wraps them
+from .entanglement import baee as _baee  # noqa: F401
 from .entanglement import hcee as _hcee  # noqa: F401
 from .errors import NumericError, ParameterError
 from .operators import (
@@ -567,7 +567,7 @@ def _circuit_readings(
         snap = (amps / np.linalg.norm(amps, axis=0)).reshape(basis.dim, -1)
         s_h.append(_half_chain_entropies(basis, snap))
         if record_baee:
-            s_b.append([_baee(SectorState(basis, col)) for col in snap.T])
+            s_b.append(_bipartition_entropies(basis, snap).mean(axis=1))
     return np.array(s_h), (np.array(s_b) if record_baee else None)
 
 

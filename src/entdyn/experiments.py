@@ -36,9 +36,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import SectorBasis, enumerate_sector
-# hcee, propagate, floquet_power, run_rqc, spectral_decompose and
+# baee, hcee, propagate, floquet_power, run_rqc, spectral_decompose and
 # build_local_cut are unused here: entbench/tracer.py wraps them
-from .entanglement import _half_chain_entropies, baee, hcee  # noqa: F401
+from .entanglement import _bipartition_entropies, _half_chain_entropies, baee, hcee  # noqa: F401
 from .errors import ParameterError
 from .evolution import (  # noqa: F401
     SpectralDecomposition,
@@ -316,7 +316,7 @@ class _QuenchEngine:
                 for j in range(block.shape[1])
             ])
         if self.spec.is_swap:
-            return np.array([baee(SectorState(basis, col)) for col in block.T])
+            return _bipartition_entropies(basis, block).mean(axis=1)
         gate = build_two_qubit_gate(self.spec.alpha, self.spec.beta)
         # the saturation window: the last hundred layers
         window = range(max(1, self.depth - 99), self.depth + 1)
@@ -475,7 +475,7 @@ def mean_trajectory(
         del decomp
         rows_h.append(_half_chain_entropies(basis, states))
         if record_baee:
-            rows_b.append(np.array([baee(SectorState(basis, c)) for c in states.T]))
+            rows_b.append(_bipartition_entropies(basis, states).mean(axis=1))
     return Trajectory(
         times=times,
         hcee=np.mean(rows_h, axis=0),
@@ -711,7 +711,7 @@ def reservoir_curve(
         psi0, terms = _preparation(basis, master_seed, run, prep_W, prep_jz)
         prepared = _prepared_block(terms, psi0, T_arr)
         h[run] = _half_chain_entropies(basis, prepared)
-        b[run] = [baee(SectorState(basis, col)) for col in prepared.T]
+        b[run] = _bipartition_entropies(basis, prepared).mean(axis=1)
     return ReservoirCurve(
         T=T_arr,
         hcee=h.mean(axis=0),

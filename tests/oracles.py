@@ -5,6 +5,8 @@ deliberately sharing no code with the package internals: entropies come
 from an SVD after axis permutation, Hamiltonians from explicit Kronecker
 products, and time evolution from ``scipy.linalg.expm``.  Meant for
 L <= 10.  ``run_one_thread`` runs a bitwise check in a fresh interpreter.
+``haar_sector_average`` is the Monte Carlo reference for the closed-form
+Haar sector mean; it reads the package's batched half-chain entropies.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
 
@@ -19,8 +22,9 @@ import numpy as np
 import scipy.linalg
 
 import entdyn
-from entdyn.basis import SectorBasis
-from entdyn.entanglement import enumerate_bipartitions
+from entdyn.basis import SectorBasis, enumerate_sector
+from entdyn.entanglement import _half_chain_entropies, enumerate_bipartitions
+from entdyn.errors import ParameterError
 from entdyn.state import SectorState
 
 
@@ -110,6 +114,38 @@ def oracle_subset_entropy(state: SectorState, subset) -> float:
 def oracle_baee(state: SectorState) -> float:
     cuts = enumerate_bipartitions(state.basis.L)
     return float(np.mean([oracle_subset_entropy(state, bp.sites) for bp in cuts]))
+
+
+@dataclass(frozen=True)
+class HaarEstimate:
+    """Monte Carlo estimate of the sector-mean half-chain entropy."""
+
+    L: int
+    mean: float
+    stderr: float
+    samples: int
+
+
+def haar_sector_average(
+    L: int, samples: int, rng: np.random.Generator, batch: int = 1024
+) -> HaarEstimate:
+    """Sample Haar sector states and average their half-chain entropy."""
+    if samples < 2:
+        raise ParameterError(f"need at least 2 samples, got {samples}")
+    basis = enumerate_sector(L, 0)
+    values = np.empty(samples, dtype=np.float64)
+    done = 0
+    while done < samples:
+        m = min(batch, samples - done)
+        z = rng.standard_normal((m, basis.dim)) + 1j * rng.standard_normal(
+            (m, basis.dim)
+        )
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        values[done : done + m] = _half_chain_entropies(basis, z.T)
+        done += m
+    mean = float(values.mean())
+    stderr = float(values.std(ddof=1) / np.sqrt(samples))
+    return HaarEstimate(L=L, mean=mean, stderr=stderr, samples=samples)
 
 
 def dense_gate(L: int, bond: int, u: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ run always reports the verdict of every check.  Desk scale throughout
 """
 
 import itertools
-import math
 import os
 
 import numpy as np
@@ -23,7 +22,7 @@ from entdyn.bipartition_markov import (
 from entdyn.cli import cli
 from entdyn.entanglement import (
     baee,
-    haar_sector_average,
+    haar_sector_mean_exact,
     hcee,
     subset_entropy,
 )
@@ -47,7 +46,7 @@ from entdyn.operators import (
     sample_fields,
 )
 from entdyn.state import random_sector_state
-from oracles import oracle_subset_entropy
+from oracles import haar_sector_average, oracle_subset_entropy
 
 
 def _check(number, ok, detail):
@@ -57,8 +56,8 @@ def _check(number, ok, detail):
 
 @pytest.fixture(scope="module")
 def haar12():
-    """Monte Carlo sector-mean half-chain entropy at L=12, 10^4 samples."""
-    return haar_sector_average(12, 10_000, derive_rng(0, 0, "haar"))
+    """Exact sector-mean half-chain entropy at L=12, in bits."""
+    return haar_sector_mean_exact(12)
 
 
 def _prepared_state(basis, run, prep_T=4.5, prep_W=0.5, jz=0.5, master_seed=0):
@@ -182,7 +181,7 @@ def test_gate_algebra():
 
 # -- 5: entropy engine -------------------------------------------------------
 
-def test_entropy_engine(haar12):
+def test_entropy_engine():
     rng = np.random.default_rng(5)
     d_sym = 0.0
     for L in (6, 8, 10):
@@ -223,7 +222,7 @@ def test_entropy_engine(haar12):
                     abs(subset_entropy(state, sub) - oracle_subset_entropy(state, sub)),
                 )
     est = haar_sector_average(2, 20_000, derive_rng(0, 0, "haar"))
-    exact = 1.0 / (2.0 * math.log(2.0))
+    exact = haar_sector_mean_exact(2)
     haar_dev = abs(est.mean - exact)
     ok = d_sym <= 1e-10 and d_oracle <= 1e-12 and haar_dev <= 3 * est.stderr
     _check(
@@ -294,7 +293,7 @@ def test_rise_then_fall_sweeps():
 def test_thermal_sweep_tracks_haar(haar12):
     table = delta_s_sweep(12, ProtocolSpec(kind="thermal"), runs=200, master_seed=0)
     label = classify_dynamics(table).label
-    gap = float(np.abs(table.s_sat - haar12.mean).max())
+    gap = float(np.abs(table.s_sat - haar12).max())
     ok = label == "monotone_decreasing" and gap < 0.15
     _check(8, ok, f"label {label}, max |S_sat - Haar| = {gap:.4f} bits (< 0.15)")
 
@@ -331,9 +330,9 @@ def test_reservoir_curve_shape():
 @pytest.mark.skipif(
     os.environ.get("ENTDYN_HEAVY") != "1",
     reason=(
-        "about 6 h on one BLAS thread and two CPUs: 72 runs of 37 baee of "
-        "~8 s each plus a ~1.3 s Chebyshev preparation, ~0.2 GB peak; "
-        "set ENTDYN_HEAVY=1"
+        "about 4.5 h on one BLAS thread and two CPUs: 72 runs of one "
+        "37-state BAEE block of ~224 s plus a ~1.2 s Chebyshev preparation, "
+        "~0.2 GB peak; set ENTDYN_HEAVY=1"
     ),
 )
 def test_reservoir_curve_heavy_scale():
@@ -357,7 +356,7 @@ def test_mbl_growth_is_logarithmic(haar12):
     s = dict(zip(traj.times.tolist(), traj.hcee.tolist()))
     decades = [s[10.0], s[1e2], s[1e3], s[1e4]]
     incs = np.diff(decades)
-    below = haar12.mean - s[1e12]
+    below = haar12 - s[1e12]
     ok = bool((incs > 0.02).all()) and below > 0.3
     _check(
         11,

@@ -13,7 +13,7 @@ from entdyn.entanglement import (
     baee,
     bipartition_entropies,
     enumerate_bipartitions,
-    haar_sector_average,
+    haar_sector_mean_exact,
     hcee,
     subset_entropy,
     _entropy_from_eigs,
@@ -22,7 +22,7 @@ from entdyn.entanglement import (
 from entdyn.errors import NumericError, ParameterError
 from entdyn.state import SectorState, random_sector_state
 
-from oracles import oracle_baee, oracle_subset_entropy, run_one_thread
+from oracles import haar_sector_average, oracle_baee, oracle_subset_entropy, run_one_thread
 
 
 def test_bipartition_canonical_contains_site_one():
@@ -122,7 +122,7 @@ def test_baee_matches_oracle(rng):
     assert abs(baee(state) - oracle_baee(state)) < 1e-12
 
 
-def test_bipartition_entropies_batched_matches_scalar(rng):
+def test_bipartition_entropies_batched_matches_scalar(rng, monkeypatch):
     for L in (8, 10, 12):
         basis = enumerate_sector(L, 0)
         state = random_sector_state(basis, rng)
@@ -131,37 +131,67 @@ def test_bipartition_entropies_batched_matches_scalar(rng):
         assert ent.shape == (len(cuts),)
         for i, bp in enumerate(cuts):
             assert ent[i] == subset_entropy(state, bp.sites)
-        # odd chunk size exercises the chunked path
-        assert np.array_equal(ent, bipartition_entropies(state, chunk_size=7))
+        # an odd chunk size exercises the chunked path
+        with monkeypatch.context() as m:
+            m.setattr(entanglement, "_CHUNK_ROWS", 7)
+            assert np.array_equal(ent, bipartition_entropies(state))
 
 
-def _entropy_bits(L, chunk_size, rng):
-    """``uint64`` views of two calls on one new basis: filling, then cached."""
+def _block_mismatches():
+    """(L, m) pairs whose block call differs in any bit from per-state rows."""
+    bad = []
+    for L in (8, 10, 12):
+        basis = enumerate_sector(L, 0)
+        block = _unit_columns(basis, np.random.default_rng(L), 200)
+        rows = [bipartition_entropies(SectorState(basis, col)) for col in block.T]
+        rows = np.array(rows).view(np.uint64)
+        for m in (1, 5, 37, 200):
+            got = entanglement._bipartition_entropies(basis, block[:, :m])
+            if not np.array_equal(got.view(np.uint64), rows[:m]):
+                bad.append((L, m))
+    return bad
+
+
+def test_block_matches_per_state_rows_bitwise():
+    assert _block_mismatches() == []
+
+
+def test_block_matches_per_state_rows_bitwise_on_one_blas_thread():
+    code = """
+from test_entanglement import _block_mismatches
+print(_block_mismatches())
+"""
+    assert run_one_thread(code).split() == ["[]"]
+
+
+def _entropy_bits(L, m, rng):
+    """``uint64`` views of two block calls on one new basis: filling, then cached."""
     basis = enumerate_sector(L, 0)
-    state = random_sector_state(basis, rng)
-    first = bipartition_entropies(state, chunk_size=chunk_size)
-    second = bipartition_entropies(state, chunk_size=chunk_size)
+    block = _unit_columns(basis, rng, m)
+    first = entanglement._bipartition_entropies(basis, block)
+    second = entanglement._bipartition_entropies(basis, block)
     return np.concatenate([first, second]).view(np.uint64)
 
 
-# (L, chunk size): small chunks give the small chains several chunks
-_POOL_CASES = [(8, 7), (10, 7), (12, 7), (12, 128), (14, 128)]
+# (L, states): a chunk holds max(1, 128 // states) bipartitions of every
+# state, so each case runs several chunks, of one to 128 bipartitions
+_POOL_CASES = [(8, 5), (10, 37), (12, 5), (12, 1), (14, 1), (8, 200)]
 
 
 def test_pool_matches_one_worker_bitwise(monkeypatch):
     threads = threading.active_count()
     interval = sys.getswitchinterval()
-    for L, chunk in _POOL_CASES:
-        pooled = _entropy_bits(L, chunk, np.random.default_rng(L))
+    for L, states in _POOL_CASES:
+        pooled = _entropy_bits(L, states, np.random.default_rng(L))
         with monkeypatch.context() as m:
             m.setattr(entanglement, "_cpus", lambda: 1)
-            serial = _entropy_bits(L, chunk, np.random.default_rng(L))
+            serial = _entropy_bits(L, states, np.random.default_rng(L))
         # more workers than cores, switching threads often
         with monkeypatch.context() as m:
             m.setattr(entanglement, "_cpus", lambda: 8)
             sys.setswitchinterval(1e-6)
             try:
-                crowded = _entropy_bits(L, chunk, np.random.default_rng(L))
+                crowded = _entropy_bits(L, states, np.random.default_rng(L))
             finally:
                 sys.setswitchinterval(interval)
         assert np.array_equal(pooled, serial), L
@@ -175,10 +205,10 @@ import numpy as np
 from entdyn import entanglement
 from test_entanglement import _POOL_CASES, _entropy_bits
 cpus = entanglement._cpus
-for L, chunk in _POOL_CASES:
-    pooled = _entropy_bits(L, chunk, np.random.default_rng(L))
+for L, states in _POOL_CASES:
+    pooled = _entropy_bits(L, states, np.random.default_rng(L))
     entanglement._cpus = lambda: 1
-    serial = _entropy_bits(L, chunk, np.random.default_rng(L))
+    serial = _entropy_bits(L, states, np.random.default_rng(L))
     entanglement._cpus = cpus
     print(np.array_equal(pooled, serial))
 """
@@ -188,13 +218,13 @@ for L, chunk in _POOL_CASES:
 
 def test_uncached_rows_match_cached(monkeypatch):
     # above the cache limit (L = 16 and up) every chunk builds its own rows
-    cached = _entropy_bits(12, 100, np.random.default_rng(3))
+    cached = _entropy_bits(12, 3, np.random.default_rng(3))
     monkeypatch.setattr(entanglement, "_SLOTS_CACHE_MAX_L", 10)
     basis = enumerate_sector(12, 0)
-    state = random_sector_state(basis, np.random.default_rng(3))
+    block = _unit_columns(basis, np.random.default_rng(3), 3)
     assert np.array_equal(
         cached[: len(cached) // 2],
-        bipartition_entropies(state, chunk_size=100).view(np.uint64),
+        entanglement._bipartition_entropies(basis, block).view(np.uint64),
     )
     assert "baee_slots" not in basis._cache
 
@@ -202,23 +232,18 @@ def test_uncached_rows_match_cached(monkeypatch):
 def test_pool_raises_a_weight_defect(rng, monkeypatch):
     monkeypatch.setattr(entanglement, "_cpus", lambda: 4)
     threads = threading.active_count()
-    state = random_sector_state(enumerate_sector(12, 0), rng)
+    basis = enumerate_sector(12, 0)
+    state = random_sector_state(basis, rng)
     state.amplitudes *= 1 + 1e-6
     with pytest.raises(NumericError, match="spectral weight"):
         bipartition_entropies(state)
     with pytest.raises(NumericError, match="spectral weight"):
-        baee(state, chunk_size=50)
+        baee(state)
+    block = _unit_columns(basis, rng, 37)
+    block[:, 20] *= 1 + 1e-6
+    with pytest.raises(NumericError, match="spectral weight"):
+        entanglement._bipartition_entropies(basis, block)
     assert threading.active_count() == threads
-
-
-def test_chunk_size_must_be_a_positive_integer(state8):
-    for bad in (0, -3, 2.5, 4.0, True, "8", None):
-        with pytest.raises(ParameterError, match="chunk_size"):
-            bipartition_entropies(state8, chunk_size=bad)
-        with pytest.raises(ParameterError, match="chunk_size"):
-            baee(state8, chunk_size=bad)
-    ent = bipartition_entropies(state8, chunk_size=np.int64(5))
-    assert np.array_equal(ent, bipartition_entropies(state8, chunk_size=35))
 
 
 def test_baee_is_mean_of_cut_entropies(rng, basis8):
@@ -231,8 +256,31 @@ def test_haar_average_l2_analytic():
     rng = np.random.default_rng(77)
     est = haar_sector_average(2, 20_000, rng)
     target = 1.0 / (2.0 * np.log(2.0))
+    assert haar_sector_mean_exact(2) == target
     assert abs(est.mean - target) < 3 * est.stderr
     assert est.samples == 20_000
+
+
+def test_haar_sector_mean_exact_matches_digamma_form():
+    from scipy.special import digamma
+
+    for L in range(2, 17, 2):
+        half, D = L // 2, math.comb(L, L // 2)
+        nats = 0.0
+        for k in range(half + 1):
+            m, n = sorted((math.comb(half, k), math.comb(half, half - k)))
+            nats += m * n / D * (digamma(D + 1) - digamma(n + 1) - (m - 1) / (2 * n))
+        assert abs(haar_sector_mean_exact(L) - nats / math.log(2.0)) < 1e-12, L
+    assert abs(haar_sector_mean_exact(12) - 5.156976) < 5e-7
+    for bad in (0, 3, 7):
+        with pytest.raises(ParameterError):
+            haar_sector_mean_exact(bad)
+
+
+def test_haar_sampler_agrees_with_exact_mean():
+    for L in (4, 6):
+        est = haar_sector_average(L, 4_000, np.random.default_rng(L))
+        assert abs(est.mean - haar_sector_mean_exact(L)) < 3 * est.stderr, L
 
 
 def test_haar_average_needs_samples(rng):

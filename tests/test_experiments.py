@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from entdyn.basis import enumerate_sector
-from entdyn.entanglement import baee, haar_sector_average, hcee
+from entdyn.entanglement import baee, haar_sector_mean_exact, hcee
 from entdyn import evolution, experiments
 from entdyn.entanglement import _half_chain_entropies
 from entdyn.errors import NumericError, ParameterError
@@ -485,8 +485,7 @@ def test_pooled_disorder_ratios_deterministic():
 
 def test_haar_sector_average_l12_value():
     # regression pin for the desk-scale Haar mean used by the sweeps
-    est = haar_sector_average(12, 2000, derive_rng(0, 0, "haar"))
-    assert abs(est.mean - 5.157) < 0.02
+    assert abs(haar_sector_mean_exact(12) - 5.157) < 0.02
 
 
 @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=lambda sp: f"{sp.kind}-{sp.alpha}")
