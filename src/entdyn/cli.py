@@ -116,14 +116,7 @@ def _schedule_for(cfg: RunConfig, kind: str):
             f"{cfg.schedule_t_max:g}; set depth alone",
             key="schedule.t_max",
         )
-    return default_schedule(
-        kind,
-        cfg.depth,
-        cfg.schedule_linear_max,
-        cfg.schedule_n_linear,
-        cfg.schedule_t_max if t_max_set else None,
-        cfg.schedule_n_log,
-    )
+    return default_schedule(kind, cfg.depth, cfg.schedule_t_max if t_max_set else None)
 
 
 def _progress(msg: str) -> None:
@@ -197,12 +190,7 @@ def _cmd_sweep(cfg: RunConfig, t0: float) -> int:
         prep_jz=cfg.prep_jz,
         prep_local=cfg.prep_local,
     )
-    label = classify_dynamics(
-        table,
-        eps_inert=cfg.classify_eps_inert,
-        eps_peak=cfg.classify_eps_peak,
-        eps_fit=cfg.classify_eps_fit,
-    )
+    label = classify_dynamics(table)
     summary = {
         **table.meta,
         "classification": label.label,
@@ -257,7 +245,7 @@ def _cmd_levelstats(cfg: RunConfig, t0: float) -> int:
     sample = pooled_disorder_ratios(
         cfg.L, W, jz=jz, realizations=cfg.runs, master_seed=cfg.seed
     )
-    hist = ratio_histogram(sample, bins=cfg.levelstats_bins)
+    hist = ratio_histogram(sample)
     refs = reference_curves()
     summary = {
         "L": cfg.L,

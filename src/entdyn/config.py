@@ -12,6 +12,7 @@ Protocol settings live under ``protocol.*``; when any of them is given,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
@@ -56,19 +57,10 @@ class RunConfig:
     depth: int = RQC_DEPTH
     record_baee: bool = False
 
-    schedule_linear_max: float = 10.0
-    schedule_n_linear: int = 10
     schedule_t_max: float = 1.0e12
-    schedule_n_log: int = 28
-
-    classify_eps_inert: float = 0.05
-    classify_eps_peak: float = 0.1
-    classify_eps_fit: float = 0.05
 
     markov_steps: int = 1_000_000
     markov_burn_in: int = 10_000
-
-    levelstats_bins: int = 25
 
     eigensweep_ranks: tuple[int, ...] | None = None
 
@@ -156,16 +148,9 @@ _SCHEMA: dict[str, tuple[str, object, object]] = {
     "circuit_samples": ("circuit_samples", _parse_int, str),
     "depth": ("depth", _parse_int, str),
     "record_baee": ("record_baee", _parse_bool, _fmt_bool),
-    "schedule.linear_max": ("schedule_linear_max", _parse_float, _fmt_float),
-    "schedule.n_linear": ("schedule_n_linear", _parse_int, str),
     "schedule.t_max": ("schedule_t_max", _parse_float, _fmt_float),
-    "schedule.n_log": ("schedule_n_log", _parse_int, str),
-    "classify.eps_inert": ("classify_eps_inert", _parse_float, _fmt_float),
-    "classify.eps_peak": ("classify_eps_peak", _parse_float, _fmt_float),
-    "classify.eps_fit": ("classify_eps_fit", _parse_float, _fmt_float),
     "markov.steps": ("markov_steps", _parse_int, str),
     "markov.burn_in": ("markov_burn_in", _parse_int, str),
-    "levelstats.bins": ("levelstats_bins", _parse_int, str),
     "eigensweep.ranks": ("eigensweep_ranks", _parse_ranks, _fmt_ranks),
 }
 
@@ -181,6 +166,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
         bad("seed", f"must be nonnegative, got {cfg.seed}")
     if cfg.protocol_kind is not None and cfg.protocol_kind not in KINDS:
         bad("protocol.kind", f"must be one of {KINDS}, got {cfg.protocol_kind!r}")
+    for key, attr in (("prep.W", "prep_W"), ("prep.jz", "prep_jz"), ("prep.T", "prep_T")):
+        if not math.isfinite(getattr(cfg, attr)):
+            bad(key, f"must be finite, got {getattr(cfg, attr)}")
     for key, attr in (("protocol.W", "protocol_W"), ("prep.W", "prep_W")):
         v = getattr(cfg, attr)
         if v is not None and v < 0:
@@ -193,21 +181,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
         bad("circuit_samples", f"must be positive, got {cfg.circuit_samples}")
     if cfg.depth < 1:
         bad("depth", f"must be positive, got {cfg.depth}")
-    if not (0 < cfg.schedule_linear_max < cfg.schedule_t_max):
-        bad("schedule.t_max", "need 0 < schedule.linear_max < schedule.t_max")
-    if cfg.schedule_n_linear < 1 or cfg.schedule_n_log < 1:
-        bad("schedule.n_linear", "schedule point counts must be positive")
-    for key, attr in (
-        ("classify.eps_inert", "classify_eps_inert"),
-        ("classify.eps_peak", "classify_eps_peak"),
-        ("classify.eps_fit", "classify_eps_fit"),
-    ):
-        if getattr(cfg, attr) <= 0:
-            bad(key, "threshold must be positive")
+    if not 10 < cfg.schedule_t_max < math.inf:
+        bad("schedule.t_max", "must be finite and exceed 10, where the log part starts")
     if cfg.markov_burn_in < 0 or cfg.markov_steps <= cfg.markov_burn_in:
         bad("markov.steps", "need markov.steps > markov.burn_in >= 0")
-    if cfg.levelstats_bins < 1:
-        bad("levelstats.bins", "must be positive")
     if cfg.eigensweep_ranks is not None and any(r < 1 for r in cfg.eigensweep_ranks):
         bad("eigensweep.ranks", "ranks must be positive")
     return cfg

@@ -14,13 +14,16 @@ value:
 * ``anderson``        -- XX chain, strong disorder
 * ``rqc``             -- random two-site gate circuits, including SWAP
 
-Saturation rules: Hamiltonian protocols read the half-chain entropy at
-t = 1e12 (free fermions instead average t = 201..300, since they never
-dephase into a flat plateau); the Floquet map is raised to 3e11 periods;
-generic circuits average the last hundred of 2000 layers over several
-gate-sequence realizations; pure-SWAP circuits need no simulation at all,
-because site permutations only shuffle bipartitions, making the exact
-steady value the bipartition-averaged entropy of the initial state.
+Each run prepares its states as one block, draws its quench once
+(``_make_engine``) and reads the block out at a list of steps
+(``_QuenchEngine.readings``).  A saturation value is the mean of those
+readings over a window: Hamiltonian protocols read t = 1e12 (free
+fermions instead average t = 201..300, since they never dephase into a
+flat plateau); the Floquet map reads 3e11 periods; generic circuits
+average the last hundred of 2000 layers over several gate sequences.
+Pure-SWAP circuits need no simulation at all: site permutations only
+shuffle bipartitions, so the exact steady value is the bipartition-averaged
+entropy of the initial state, and the reservoir curve is the SWAP sweep.
 
 Per-run randomness is split into independent, stably tagged streams
 (initial product word, preparation disorder, quench disorder, circuit
@@ -81,6 +84,16 @@ THERMAL_W = 0.5
 MBL_W = 5.0
 DEFAULT_JZ = 0.5
 DEFAULT_PREP_T = 4.5
+
+# each kind's quench disorder W and coupling jz when a spec leaves them unset
+_CANONICAL_W_JZ = {
+    "thermal": (THERMAL_W, DEFAULT_JZ),
+    "hamiltonian_mbl": (MBL_W, DEFAULT_JZ),
+    "free_fermion": (0.0, 0.0),
+    "floquet_mbl": (MBL_W, 0.0),
+    "anderson": (MBL_W, 0.0),
+    "rqc": (0.0, 0.0),
+}
 
 SAT_TIME = 1.0e12
 SAT_PERIODS = 300_000_000_000
@@ -156,27 +169,11 @@ class ProtocolSpec:
     def normalized(self) -> "ProtocolSpec":
         if self.kind not in KINDS:
             raise ParameterError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        W, jz = self.W, self.jz
-        if self.kind == "thermal":
-            W = THERMAL_W if W is None else W
-            jz = DEFAULT_JZ if jz is None else jz
-        elif self.kind == "hamiltonian_mbl":
-            W = MBL_W if W is None else W
-            jz = DEFAULT_JZ if jz is None else jz
-        elif self.kind == "free_fermion":
-            W = 0.0 if W is None else W
-            jz = 0.0 if jz is None else jz
-        elif self.kind == "anderson":
-            W = MBL_W if W is None else W
-            jz = 0.0 if jz is None else jz
-        elif self.kind == "floquet_mbl":
-            W = MBL_W if W is None else W
-            jz = 0.0 if jz is None else jz
-        else:  # rqc
-            if self.alpha is None or self.beta is None:
-                raise ParameterError("rqc protocol needs explicit alpha and beta")
-            W = 0.0 if W is None else W
-            jz = 0.0 if jz is None else jz
+        if self.kind == "rqc" and (self.alpha is None or self.beta is None):
+            raise ParameterError("rqc protocol needs explicit alpha and beta")
+        W, jz = _CANONICAL_W_JZ[self.kind]
+        W = W if self.W is None else self.W
+        jz = jz if self.jz is None else self.jz
         for name, value in (("W", W), ("jz", jz), ("T0", self.T0), ("T1", self.T1)):
             if not np.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
@@ -274,12 +271,21 @@ def _prep_times(T_list) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_circuits(circuit_samples, depth, least_depth: int = 0) -> None:
+    """Refuse a circuit count below 1 or a depth below ``least_depth``, or either not whole."""
+    checks = (("circuit_samples", circuit_samples, 1), ("depth", depth, least_depth))
+    for name, value, least in checks:
+        if not (isinstance(value, (int, np.integer)) and value >= least):
+            raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(eq=False)
 class _QuenchEngine:
-    """Per-run quench machinery reused across every preparation time.
+    """The quench of one run, read out on any block of states.
 
     Hamiltonian and Floquet kinds carry the quench decomposition; circuits
-    draw their gate sequences on demand, so pure SWAP draws none.
+    draw ``circuit_samples`` sequences of ``depth`` bonds per reading, and
+    pure SWAP draws none.
     """
 
     spec: ProtocolSpec
@@ -290,41 +296,58 @@ class _QuenchEngine:
     circuit_samples: int = CIRCUIT_SAMPLES
     depth: int = RQC_DEPTH
 
-    def circuits(self) -> list[np.ndarray]:
-        """The run's gate sequences, ``depth`` random bonds in 1..L-1 each."""
-        return [
-            derive_rng(self.master_seed, self.run, f"circuit:{m}").integers(
-                1, self.basis.L, size=self.depth
-            )
-            for m in range(self.circuit_samples)
-        ]
+    def readings(self, block: np.ndarray, steps, record_baee: bool = False) -> list:
+        """Half-chain entropy (and BAEE) of a ``(dim, m)`` block at every step.
+
+        ``steps`` are times, or whole periods or layers in increasing order.
+        Returns one ``(hcee, baee)`` pair per realization (one gate sequence
+        of a circuit, else the run's decomposition), each ``(len(steps), m)``
+        and ``baee`` None unless ``record_baee``.  The phase factors are
+        computed once per call.  One step evolves the whole block at once;
+        several evolve one column at a time, which keeps each column's
+        readings contiguous for the window mean.
+        """
+        basis = self.basis
+        if self.spec.kind == "rqc":
+            gate = build_two_qubit_gate(self.spec.alpha, self.spec.beta)
+            out = []
+            for m in range(self.circuit_samples):
+                rng = derive_rng(self.master_seed, self.run, f"circuit:{m}")
+                amps = block.astype(np.complex128, order="C")
+                bonds = rng.integers(1, basis.L, size=self.depth)
+                out.append(_circuit_readings(amps, gate, basis, bonds, steps, record_baee))
+            return out
+        factors = _phase_factors(self.decomp, steps)
+        one_step = factors.shape[1] == 1
+        parts = [block] if one_step else [block[:, j : j + 1] for j in range(block.shape[1])]
+        rows = []
+        for part in parts:
+            states = _spectral_apply(self.decomp, part, factors)
+            rows.append([_half_chain_entropies(basis, states)])
+            if record_baee:
+                rows[-1].append(_bipartition_entropies(basis, states).mean(axis=1))
+        # (parts, readings, k) -> (readings, len(steps), m)
+        read = np.array(rows).transpose((1, 0, 2) if one_step else (1, 2, 0))
+        return [(read[0], read[1] if record_baee else None)]
 
     def saturation(self, block: np.ndarray) -> np.ndarray:
-        """Saturation entropy of every unit column of a ``(dim, m)`` block."""
+        """Saturation entropy of every unit column of a ``(dim, m)`` block.
+
+        Pure SWAP reads the BAEE of the block itself, its exact steady
+        value.  Every other kind averages :meth:`readings` over its window:
+        ``SAT_TIME`` or ``SAT_PERIODS`` alone, ``FF_WINDOW`` for free
+        fermions, the last hundred layers of every gate sequence for circuits.
+        """
         kind = self.spec.kind
-        basis, decomp = self.basis, self.decomp
-        if kind in ("thermal", "hamiltonian_mbl", "anderson", "floquet_mbl"):
-            step = SAT_PERIODS if kind == "floquet_mbl" else SAT_TIME
-            late = _spectral_apply(decomp, block, _phase_factors(decomp, [step]))
-            return _half_chain_entropies(basis, late)
-        if kind == "free_fermion":
-            window = _phase_factors(decomp, FF_WINDOW)
-            return np.array([
-                _half_chain_entropies(
-                    basis, _spectral_apply(decomp, block[:, j : j + 1], window)
-                ).mean()
-                for j in range(block.shape[1])
-            ])
         if self.spec.is_swap:
-            return _bipartition_entropies(basis, block).mean(axis=1)
-        gate = build_two_qubit_gate(self.spec.alpha, self.spec.beta)
-        # the saturation window: the last hundred layers
-        window = range(max(1, self.depth - 99), self.depth + 1)
-        means = []
-        for bonds in self.circuits():
-            amps = block.astype(np.complex128, order="C")
-            means.append(_circuit_readings(amps, gate, basis, bonds, window)[0].mean(axis=0))
-        return np.mean(means, axis=0)
+            return _bipartition_entropies(self.basis, block).mean(axis=1)
+        if kind == "rqc":
+            window = range(max(1, self.depth - 99), self.depth + 1)
+        elif kind == "free_fermion":
+            window = FF_WINDOW
+        else:
+            window = [SAT_PERIODS if kind == "floquet_mbl" else SAT_TIME]
+        return np.mean([h.mean(axis=0) for h, _ in self.readings(block, window)], axis=0)
 
 
 def _make_engine(
@@ -336,6 +359,7 @@ def _make_engine(
     depth: int = RQC_DEPTH,
 ) -> _QuenchEngine:
     """The quench of one run: its disorder draw and operator, or circuits."""
+    _check_circuits(circuit_samples, depth)
     spec = spec.normalized()
     engine = _QuenchEngine(
         spec=spec,
@@ -368,11 +392,12 @@ def _preflight(basis: SectorBasis, kind: str | None = None, prep=None) -> None:
 
     That step is the Floquet map for ``floquet_mbl`` and one decomposition
     for every other driver.  A driver whose only dense step is preparation
-    (the reservoir curve, circuits) passes ``prep = (T_arr, prep_W,
-    prep_jz)``; when every run's preparation goes to the Chebyshev route it
-    has no dense step, and nothing is reserved.  The drivers drop each set
-    of eigenvectors (and the engine holding one) as soon as it is used, so
-    no step runs while another step's dim x dim results are still held.
+    (circuits, the reservoir curve's SWAP sweep among them) passes ``prep =
+    (T_arr, prep_W, prep_jz)``; when every run's preparation goes to the
+    Chebyshev route it has no dense step, and nothing is reserved.  The
+    drivers drop each set of eigenvectors (and the engine holding one) as
+    soon as it is used, so no step runs while another step's dim x dim
+    results are still held.
     """
     if kind == "floquet_mbl":
         _require_dense(basis.dim, "Floquet map")
@@ -380,32 +405,35 @@ def _preflight(basis: SectorBasis, kind: str | None = None, prep=None) -> None:
         _require_dense(basis.dim, "decomposition")
 
 
-def default_schedule(
-    kind: str,
-    depth: int = RQC_DEPTH,
-    linear_max: float = 10.0,
-    n_linear: int = 10,
-    t_max: float | None = None,
-    n_log: int = 28,
-) -> np.ndarray:
+def default_schedule(kind: str, depth: int = RQC_DEPTH, t_max: float | None = None) -> np.ndarray:
     """The times, whole periods or layers a ``kind`` trajectory records by default.
 
-    A circuit records up to its last layer ``depth``: every layer when
-    ``depth <= linear_max``, else :func:`hybrid_schedule` up to ``depth``.
-    The other kinds follow :func:`hybrid_schedule` up to ``t_max``, by
-    default ``SAT_PERIODS`` whole periods for the Floquet map and
-    ``SAT_TIME`` for the Hamiltonian kinds.
+    A circuit records up to its last layer ``depth``: every layer up to
+    depth 10, the end of :func:`hybrid_schedule`'s linear part, else that
+    schedule up to ``depth``.  The other kinds follow
+    :func:`hybrid_schedule` up to ``t_max``, by default ``SAT_PERIODS``
+    whole periods for the Floquet map and ``SAT_TIME`` for the Hamiltonian
+    kinds.
     """
     if kind == "rqc":
         if depth < 1:
             raise ParameterError(f"depth must be positive, got {depth}")
-        if depth <= linear_max:
+        if depth <= 10:
             return np.arange(depth + 1, dtype=np.int64)
-        return hybrid_schedule(linear_max, n_linear, depth, n_log, integer=True)
+        return hybrid_schedule(t_max=depth, integer=True)
     floquet = kind == "floquet_mbl"
     if t_max is None:
         t_max = SAT_PERIODS if floquet else SAT_TIME
-    return hybrid_schedule(linear_max, n_linear, t_max, n_log, integer=floquet)
+    return hybrid_schedule(t_max=t_max, integer=floquet)
+
+
+def _check_runs_and_prep(runs: int, prep_W: float, prep_jz: float) -> None:
+    """Refuse a driver's run count or preparation chain up front."""
+    if runs < 1:
+        raise ParameterError(f"runs must be positive, got {runs}")
+    for name, value in (("prep_W", prep_W), ("prep_jz", prep_jz)):
+        if not np.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
 
 
 def mean_trajectory(
@@ -430,8 +458,7 @@ def mean_trajectory(
     ``schedule`` lists times for Hamiltonian kinds and whole periods or
     layers for the Floquet map and circuits.
     """
-    if runs < 1:
-        raise ParameterError(f"runs must be positive, got {runs}")
+    _check_runs_and_prep(runs, prep_W, prep_jz)
     if not 0 <= prep_T < np.inf:
         raise ParameterError(f"prep_T must be finite and nonnegative, got {prep_T}")
     spec = spec.normalized()
@@ -457,39 +484,21 @@ def mean_trajectory(
     for run in range(runs):
         psi0, terms = _preparation(basis, master_seed, run, prep_W, prep_jz, prep_local)
         init = _prepared_block(terms, psi0, [prep_T])
-        if kind == "rqc":
-            engine = _make_engine(
-                basis, spec, master_seed, run, circuit_samples, int(steps.max())
-            )
-            gate = build_two_qubit_gate(spec.alpha, spec.beta)
-            for bonds in engine.circuits():
-                s_h, s_b = _circuit_readings(
-                    init[:, 0].copy(), gate, basis, bonds, steps, record_baee
-                )
-                rows_h.append(s_h[:, 0])
-                if record_baee:
-                    rows_b.append(s_b[:, 0])
-            continue
-        decomp = _make_engine(basis, spec, master_seed, run).decomp
-        states = _spectral_apply(decomp, init, _phase_factors(decomp, steps))
-        del decomp
-        rows_h.append(_half_chain_entropies(basis, states))
-        if record_baee:
-            rows_b.append(_bipartition_entropies(basis, states).mean(axis=1))
+        # a circuit runs up to the last scheduled layer
+        engine = _make_engine(basis, spec, master_seed, run, circuit_samples, int(steps.max()))
+        for s_h, s_b in engine.readings(init, steps, record_baee):
+            rows_h.append(s_h[:, 0])
+            if record_baee:
+                rows_b.append(s_b[:, 0])
+        del engine
     return Trajectory(
         times=times,
         hcee=np.mean(rows_h, axis=0),
         baee=np.mean(rows_b, axis=0) if record_baee else None,
         meta={
-            "kind": kind,
-            "L": L,
-            "runs": runs,
-            "master_seed": master_seed,
-            "prep_T": prep_T,
-            "prep_W": prep_W,
-            "prep_jz": prep_jz,
-            "prep_local": prep_local,
-            "realizations": len(rows_h),
+            "kind": kind, "L": L, "runs": runs, "master_seed": master_seed,
+            "prep_T": prep_T, "prep_W": prep_W, "prep_jz": prep_jz,
+            "prep_local": prep_local, "realizations": len(rows_h),
         },
     )
 
@@ -542,8 +551,8 @@ def delta_s_sweep(
     Per run: one random product state, one preparation disorder, and one
     quench setup (disorder or circuit sequences) shared by every ``T``.
     """
-    if runs < 1:
-        raise ParameterError(f"runs must be positive, got {runs}")
+    _check_runs_and_prep(runs, prep_W, prep_jz)
+    _check_circuits(circuit_samples, depth, least_depth=1)
     spec = spec.normalized()
     T_arr = _prep_times(T_list)
     basis = enumerate_sector(L, 0)
@@ -567,18 +576,10 @@ def delta_s_sweep(
         stderr_sat=es,
         runs=runs,
         meta={
-            "kind": spec.kind,
-            "W": spec.W,
-            "jz": spec.jz,
-            "alpha": spec.alpha,
-            "beta": spec.beta,
-            "L": L,
-            "master_seed": master_seed,
-            "circuit_samples": circuit_samples,
-            "depth": depth,
-            "prep_W": prep_W,
-            "prep_jz": prep_jz,
-            "prep_local": prep_local,
+            "kind": spec.kind, "W": spec.W, "jz": spec.jz,
+            "alpha": spec.alpha, "beta": spec.beta, "L": L, "master_seed": master_seed,
+            "circuit_samples": circuit_samples, "depth": depth,
+            "prep_W": prep_W, "prep_jz": prep_jz, "prep_local": prep_local,
         },
     )
 
@@ -618,8 +619,8 @@ def eigenstate_sweep(
     Hamiltonian span initial entropies from area-law edges to volume-law
     bulk; each is quenched exactly like a prepared state.
     """
-    if runs < 1:
-        raise ParameterError(f"runs must be positive, got {runs}")
+    _check_runs_and_prep(runs, prep_W, prep_jz)
+    _check_circuits(circuit_samples, depth, least_depth=1)
     spec = spec.normalized()
     basis = enumerate_sector(L, 0)
     _preflight(basis, spec.kind)
@@ -653,11 +654,8 @@ def eigenstate_sweep(
         stderr_sat=es,
         runs=runs,
         meta={
-            "kind": spec.kind,
-            "L": L,
-            "master_seed": master_seed,
-            "prep_W": prep_W,
-            "prep_jz": prep_jz,
+            "kind": spec.kind, "L": L, "master_seed": master_seed,
+            "prep_W": prep_W, "prep_jz": prep_jz,
         },
     )
 
@@ -698,24 +696,16 @@ def reservoir_curve(
 
     The excess BAEE - HCEE measures entanglement held away from the
     central cut; it starts at zero, peaks at intermediate T, and decays
-    as the state scrambles.
+    as the state scrambles.  Pure SWAP circuits spread a state's
+    entanglement evenly over all bipartitions, so their saturation is its
+    BAEE: the curve is the SWAP :func:`delta_s_sweep`.
     """
-    if runs < 1:
-        raise ParameterError(f"runs must be positive, got {runs}")
-    T_arr = _prep_times(T_list)
-    basis = enumerate_sector(L, 0)
-    _preflight(basis, prep=(T_arr, prep_W, prep_jz))
-    h = np.empty((runs, T_arr.size))
-    b = np.empty((runs, T_arr.size))
-    for run in range(runs):
-        psi0, terms = _preparation(basis, master_seed, run, prep_W, prep_jz)
-        prepared = _prepared_block(terms, psi0, T_arr)
-        h[run] = _half_chain_entropies(basis, prepared)
-        b[run] = _bipartition_entropies(basis, prepared).mean(axis=1)
+    swap = ProtocolSpec(kind="rqc", alpha=np.pi, beta=np.pi)
+    table = delta_s_sweep(L, swap, T_list, runs, master_seed, prep_W=prep_W, prep_jz=prep_jz)
     return ReservoirCurve(
-        T=T_arr,
-        hcee=h.mean(axis=0),
-        baee=b.mean(axis=0),
+        T=table.T,
+        hcee=table.s_initial,
+        baee=table.s_sat,
         runs=runs,
         meta={"L": L, "master_seed": master_seed, "prep_W": prep_W, "prep_jz": prep_jz},
     )

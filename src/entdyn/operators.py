@@ -137,8 +137,8 @@ def sample_fields(L: int, W: float, rng: np.random.Generator) -> DisorderFields:
     if L < 1:
         raise ParameterError(f"L must be positive, got {L}")
     W = float(W)
-    if W < 0:
-        raise ParameterError(f"W must be nonnegative, got {W}")
+    if not 0 <= W < np.inf:
+        raise ParameterError(f"W must be finite and nonnegative, got {W}")
     h = rng.uniform(-W, W, size=L) if W > 0 else np.zeros(L, dtype=np.float64)
     return DisorderFields(h=np.asarray(h, dtype=np.float64), W=W)
 

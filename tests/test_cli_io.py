@@ -59,6 +59,16 @@ def test_parse_errors_name_the_key():
         parse_config("bogus = 3\n")
     with pytest.raises(ConfigError, match="unknown key 'haar.samples'"):
         parse_config("haar.samples = 100\n")  # no command reads it
+    # fixed constants of the schedule, the classifier and the histogram
+    for key in (
+        "schedule.linear_max", "schedule.n_linear", "schedule.n_log", "classify.eps_inert",
+        "classify.eps_peak", "classify.eps_fit", "levelstats.bins",
+    ):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"{key} = 1\n")
+    for t_max in ("10", "5", "nan", "inf"):
+        with pytest.raises(ConfigError, match="schedule.t_max"):
+            parse_config(f"schedule.t_max = {t_max}\n")
     with pytest.raises(ConfigError, match="runs"):
         parse_config("runs = many\n")
     with pytest.raises(ConfigError, match="L"):
@@ -329,6 +339,15 @@ def test_cli_refuses_a_nonfinite_floquet_period(tmp_path, capsys):
         cfg.write_text(f"L = 6\nruns = 1\nprotocol.kind = floquet_mbl\nprotocol.{key} = nan\n")
         assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
+    # the preparation chain too: prep.W = nan once ran as a clean chain and
+    # exited 0, inf overflowed in the draw, and a non-finite jz exited 1
+    for key in ("prep.W", "prep.jz", "prep.T"):
+        for value in ("nan", "inf"):
+            cfg.write_text(f"L = 6\nruns = 1\nprotocol.kind = floquet_mbl\n{key} = {value}\n")
+            for command in ("sweep", "evolve"):
+                out = str(tmp_path / "s")
+                assert cli([command, "--config", str(cfg), "--out", out]) == 2
+                assert f"key '{key}': must be finite" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
 
 

@@ -382,26 +382,101 @@ def test_mean_trajectory_rqc_integer_schedule():
     assert traj.meta["realizations"] == 4
 
 
-@pytest.mark.parametrize("spec", BLOCK_SPECS[:5], ids=lambda sp: sp.kind)
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=lambda sp: "swap" if sp.is_swap else sp.kind)
 def test_mean_trajectory_block_matches_per_time_loop(spec):
-    L, seed = 6, 2
-    schedule = [0, 1, 7, 300, 10**9] if spec.kind == "floquet_mbl" else [0.0, 0.5, 3.0, 1e4]
+    L, seed, samples = 6, 2, 2
+    schedule = {"floquet_mbl": [0, 1, 7, 300, 10**9], "rqc": [0, 1, 7, 40]}.get(
+        spec.kind, [0.0, 0.5, 3.0, 1e4]
+    )
     traj = mean_trajectory(L, spec, runs=2, master_seed=seed, schedule=schedule,
-                           record_baee=True)
+                           record_baee=True, circuit_samples=samples)
     basis = enumerate_sector(L, 0)
     h, b = [], []
     for run in range(2):
         psi0 = sample_initial_product(basis, derive_rng(seed, run, "psi0"))
         fields = sample_fields(L, 0.5, derive_rng(seed, run, "prep"))
         init = propagate(spectral_decompose(build_xxz(basis, 0.5, fields)), psi0, 4.5)
+        if spec.kind == "rqc":
+            # every gate sequence of the run, up to the last scheduled layer
+            depth = schedule[-1]
+            for m in range(samples):
+                bonds = derive_rng(seed, run, f"circuit:{m}").integers(1, L, size=depth)
+                ref = run_rqc(init, spec.alpha, spec.beta, depth, bonds=bonds,
+                              record=schedule, record_baee=True)
+                h.append(ref.hcee)
+                b.append(ref.baee)
+            continue
         d = experiments._make_engine(basis, spec, seed, run).decomp
         evolve = floquet_power if spec.kind == "floquet_mbl" else propagate
         states = [evolve(d, init, t) for t in schedule]
         h.append([hcee(st) for st in states])
         b.append([baee(st) for st in states])
     assert traj.times.tolist() == [float(t) for t in schedule]
+    assert traj.meta["realizations"] == len(h)
     assert np.abs(traj.hcee - np.mean(h, axis=0)).max() < 1e-12
     assert np.abs(traj.baee - np.mean(b, axis=0)).max() < 1e-12
+
+
+RQC = ProtocolSpec(kind="rqc", alpha=2.2, beta=0.8)
+
+
+@pytest.mark.parametrize(
+    "driver, bad",
+    [
+        (delta_s_sweep, {"depth": 0}),
+        (delta_s_sweep, {"depth": -1}),
+        (delta_s_sweep, {"circuit_samples": 0}),
+        (delta_s_sweep, {"circuit_samples": 2.5}),
+        (eigenstate_sweep, {"depth": 0}),
+        (eigenstate_sweep, {"circuit_samples": 2.5}),
+        (mean_trajectory, {"circuit_samples": 0}),
+        (mean_trajectory, {"circuit_samples": 2.5}),
+    ],
+    ids=lambda x: getattr(x, "__name__", None) or "-".join(f"{k}={v}" for k, v in x.items()),
+)
+def test_bad_circuit_parameters_are_refused(driver, bad):
+    # a sweep once returned s_sat = [nan] for depth 0 or no circuits
+    (name, _), = bad.items()
+    with pytest.raises(ParameterError, match=name):
+        driver(6, RQC, runs=1, **bad)
+
+
+def test_circuit_trajectory_may_stop_at_layer_zero():
+    traj = mean_trajectory(6, RQC, runs=1, schedule=[0])
+    flat = mean_trajectory(6, ProtocolSpec(kind="thermal"), runs=1, schedule=[0.0])
+    assert traj.times.tolist() == [0.0]
+    assert abs(traj.hcee[0] - flat.hcee[0]) < 1e-12 and traj.hcee[0] > 0.1
+
+
+@pytest.mark.parametrize("prep", [{"prep_W": np.nan}, {"prep_W": np.inf},
+                                  {"prep_jz": np.nan}, {"prep_jz": np.inf}],
+                         ids=lambda p: "-".join(f"{k}={v}" for k, v in p.items()))
+def test_drivers_refuse_a_nonfinite_preparation(prep):
+    (name, _), = prep.items()
+    thermal = ProtocolSpec(kind="thermal")
+    calls = [
+        lambda: delta_s_sweep(6, thermal, T_list=(1.0,), runs=1, **prep),
+        lambda: eigenstate_sweep(6, thermal, runs=1, **prep),
+        lambda: mean_trajectory(6, thermal, runs=1, schedule=[1.0], **prep),
+        lambda: reservoir_curve(6, T_list=(1.0,), runs=1, **prep),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            call()
+
+
+def test_free_fermion_sweep_computes_its_window_factors_once_per_run(monkeypatch):
+    calls = []
+    phase_factors = experiments._phase_factors
+
+    def counted(decomp, steps):
+        calls.append(len(steps))
+        return phase_factors(decomp, steps)
+
+    monkeypatch.setattr(experiments, "_phase_factors", counted)
+    delta_s_sweep(8, ProtocolSpec(kind="free_fermion"), T_list=BLOCK_T, runs=2)
+    # once per run for the whole block, not once per prepared state
+    assert calls.count(FF_WINDOW.size) == 2
 
 
 def test_mean_trajectory_rejects_bad_schedules():

@@ -127,6 +127,10 @@ def test_sample_fields_bounds_and_w_zero():
     assert np.all(f0.h == 0.0)
     # the clean chain draws nothing
     assert rng2.bit_generator.state == before
+    # NaN used to pass as a clean chain and inf to overflow in the draw
+    for W in (np.nan, np.inf, -1.0):
+        with pytest.raises(ParameterError, match="W must be finite and nonnegative"):
+            sample_fields(10, W, rng)
 
 
 def test_gate_unitary_and_entries():
