@@ -55,7 +55,7 @@ def _entropy_from_eigs(w: np.ndarray) -> np.ndarray:
     negative values indicate a real defect and raise ``NumericError``.
     """
     w = np.asarray(w, dtype=np.float64)
-    if w.size and float(w.min()) < -_EIG_TOL:
+    if w.size and not -float(w.min()) <= _EIG_TOL:  # NaN fails too
         raise NumericError(
             f"density matrix eigenvalue {float(w.min())} below -{_EIG_TOL}"
         )
@@ -145,7 +145,7 @@ def _entropies_of_scattered(basis: SectorBasis, buf: np.ndarray, nA: int) -> np.
             parts.append(np.linalg.eigvalsh(Z.conj().transpose(0, 2, 1) @ Z))
     w = np.concatenate(parts, axis=1)
     dev = np.abs(np.clip(w, 0.0, None).sum(axis=1) - 1.0)
-    if dev.size and dev.max() > _TRACE_TOL:
+    if dev.size and not dev.max() <= _TRACE_TOL:  # NaN fails too
         raise NumericError(f"subset spectral weight deviates from 1 by {dev.max():.3g}")
     return _entropy_from_eigs(w)
 

@@ -190,17 +190,19 @@ def _spectral_apply(
 
 
 def _renormalized(out: np.ndarray, what: str) -> np.ndarray:
-    """Columns of ``out`` scaled to unit norm, in place, after the drift guard.
+    """Columns of ``out`` scaled to unit norm, in place, after the drift guard."""
+    out /= _checked_norms(out, what)
+    return out
 
-    Raises ``NumericError`` when a column's norm has drifted from 1 by more
-    than ``_NORM_DRIFT_TOL`` or is not finite.
-    """
+
+def _checked_norms(out: np.ndarray, what: str) -> np.ndarray:
+    """Column norms of ``out``; ``NumericError`` when one has drifted from 1
+    by more than ``_NORM_DRIFT_TOL`` or is not finite."""
     n = np.linalg.norm(out, axis=0)
     drift = float(np.abs(n - 1.0).max())
     if not drift <= _NORM_DRIFT_TOL:  # NaN fails too
         raise NumericError(f"{what} norm drift {drift}")
-    out /= n
-    return out
+    return n
 
 
 def propagate(decomp: SpectralDecomposition, state: SectorState, t: float) -> SectorState:
@@ -517,7 +519,10 @@ def run_rqc(
 
     Bonds are drawn uniformly from 1..L-1 with ``rng`` unless an explicit
     ``bonds`` sequence is supplied.  ``record`` lists the depths at which
-    entropy snapshots are taken (default: every depth 0..depth).
+    entropy snapshots are taken (default: every depth 0..depth).  A
+    depth with no gate on the centre bond since the last computed reading
+    reuses that half-chain entropy (:func:`_circuit_readings`): no other
+    gate acts across the cut.
     """
     basis = state.basis
     if not isinstance(depth, (int, np.integer)) or depth < 0:
@@ -557,15 +562,24 @@ def _circuit_readings(
 
     Runs :func:`_apply_circuit` on ``amps`` in place, one state ``(dim,)``
     or a block ``(dim, m)``, and reads each snapshot, renormalized, with one
-    batched entropy call.  Returns ``(hcee, baee)`` of shape
-    ``(len(marks), m)``, with m = 1 for one state and ``baee`` None unless
-    ``record_baee``.
+    batched entropy call.  A gate off the centre bond ``L // 2`` is a
+    unitary inside one half and leaves the half-chain spectrum unchanged,
+    so a mark with no centre-bond gate since the last computed one reuses
+    that reading; it differs from a fresh one only by rounding (~1e-15
+    bits).  Every mark's norm passes the drift guard, and every mark reads
+    its own BAEE.  Returns ``(hcee, baee)`` of shape ``(len(marks), m)``,
+    with m = 1 for one state and ``baee`` None unless ``record_baee``.
     """
-    s_h = []
-    s_b = []
-    for _ in _apply_circuit(amps, gate, basis, bonds, marks):
-        snap = (amps / np.linalg.norm(amps, axis=0)).reshape(basis.dim, -1)
-        s_h.append(_half_chain_entropies(basis, snap))
+    crossed = np.concatenate(([0], np.cumsum(np.asarray(bonds) == basis.L // 2)))
+    s_h, s_b, last = [], [], -1
+    for d in _apply_circuit(amps, gate, basis, bonds, marks):
+        n = _checked_norms(amps, "circuit")
+        fresh = crossed[d] != last
+        if fresh or record_baee:
+            snap = (amps / n).reshape(basis.dim, -1)
+        if fresh:
+            h, last = _half_chain_entropies(basis, snap), crossed[d]
+        s_h.append(h)
         if record_baee:
             s_b.append(_bipartition_entropies(basis, snap).mean(axis=1))
     return np.array(s_h), (np.array(s_b) if record_baee else None)

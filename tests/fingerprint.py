@@ -3,16 +3,22 @@
 Usage::
 
     python tests/fingerprint.py SRC_DIR > fingerprint.txt
+    python tests/fingerprint.py SRC_DIR --values OUT.npz > fingerprint.txt
+    python tests/fingerprint.py --compare A.npz B.npz
 
 ``SRC_DIR`` is the ``src`` directory of the tree to fingerprint.  Each line
 names one case (driver, protocol, L, seed) and the sha256 of the ``uint64``
 views of that driver's output arrays.  Running it on a change's ``src`` and
 on its parent's and ``diff``-ing the two outputs shows every driver output
-that moved, down to the last bit.  BLAS runs on one thread, because numpy
-and scipy bundle separate BLAS builds whose threaded products can differ in
-the last bit.  pytest does not collect this file.
+that moved, down to the last bit.  ``--values`` also saves every case's
+arrays; ``--compare`` reads two such files and prints, for each case, the
+largest absolute difference of its arrays, and ``bit-equal`` where every
+bit agrees.  BLAS runs on one thread, because numpy and scipy bundle
+separate BLAS builds whose threaded products can differ in the last bit.
+pytest does not collect this file.
 """
 
+import argparse
 import hashlib
 import os
 import sys
@@ -20,27 +26,7 @@ import sys
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-if len(sys.argv) != 2:
-    sys.exit(__doc__)
-sys.path.insert(0, os.path.abspath(sys.argv[1]))
-
 import numpy as np  # noqa: E402
-
-from entdyn.experiments import (  # noqa: E402
-    ProtocolSpec,
-    delta_s_sweep,
-    eigenstate_sweep,
-    mean_trajectory,
-    reservoir_curve,
-)
-
-SPECS = {
-    kind: ProtocolSpec(kind=kind)
-    for kind in ("thermal", "hamiltonian_mbl", "free_fermion", "floquet_mbl", "anderson")
-}
-SPECS["rqc"] = ProtocolSpec(kind="rqc", alpha=2.2, beta=0.8)
-SPECS["swap"] = ProtocolSpec(kind="rqc", alpha=np.pi, beta=np.pi)
-SPECS["class_c"] = ProtocolSpec(kind="rqc", alpha=np.pi, beta=0.0)
 
 T_LIST = (0.0, 0.5, 2.0, 4.5, 10.0, 32.0, 500.0)
 RUNS = 2
@@ -56,8 +42,23 @@ def _digest(*arrays) -> str:
 
 def _cases(L: int, seed: int):
     """``(name, arrays)`` for every driver output at one ``L`` and seed."""
+    from entdyn.experiments import (
+        ProtocolSpec,
+        delta_s_sweep,
+        eigenstate_sweep,
+        mean_trajectory,
+        reservoir_curve,
+    )
+
+    specs = {
+        kind: ProtocolSpec(kind=kind)
+        for kind in ("thermal", "hamiltonian_mbl", "free_fermion", "floquet_mbl", "anderson")
+    }
+    specs["rqc"] = ProtocolSpec(kind="rqc", alpha=2.2, beta=0.8)
+    specs["swap"] = ProtocolSpec(kind="rqc", alpha=np.pi, beta=np.pi)
+    specs["class_c"] = ProtocolSpec(kind="rqc", alpha=np.pi, beta=0.0)
     common = {"runs": RUNS, "master_seed": seed}
-    for name, spec in SPECS.items():
+    for name, spec in specs.items():
         t = delta_s_sweep(L, spec, T_list=T_LIST, **common, **CIRCUITS)
         yield f"delta_s_sweep {name}", (t.s_initial, t.s_sat, t.stderr_initial, t.stderr_sat)
         e = eigenstate_sweep(L, spec, **common, **CIRCUITS)
@@ -72,11 +73,46 @@ def _cases(L: int, seed: int):
     yield "reservoir_curve", (c.hcee, c.baee)
 
 
+def _compare(a_path: str, b_path: str) -> None:
+    """Print each case's largest |difference| between two ``--values`` files."""
+    a, b = np.load(a_path), np.load(b_path)
+    if sorted(a.files) != sorted(b.files):
+        sys.exit("the two files hold different cases")
+    cases = {}
+    for key in a.files:  # "<case>|<array number>"
+        cases.setdefault(key.rsplit("|", 1)[0], []).append(key)
+    for case, keys in cases.items():
+        if any(a[k].shape != b[k].shape for k in keys):
+            print(f"{case} shapes differ")
+            continue
+        diff = max(float(np.abs(a[k] - b[k]).max(initial=0.0)) for k in keys)
+        same = all(_digest(a[k]) == _digest(b[k]) for k in keys)
+        print(f"{case} max|d| {diff:.3g}{' bit-equal' if same else ''}")
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("src", nargs="?", help="src directory of the tree to fingerprint")
+    parser.add_argument("--values", metavar="OUT.npz", help="also save every case's arrays")
+    parser.add_argument("--compare", nargs=2, metavar=("A.npz", "B.npz"))
+    args = parser.parse_args()
+    if args.compare:
+        _compare(*args.compare)
+        return
+    if args.src is None:
+        parser.error("give SRC_DIR or --compare")
+    sys.path.insert(0, os.path.abspath(args.src))
+    values = {}
     for L in (8, 10):
         for seed in (0, 1):
             for name, arrays in _cases(L, seed):
-                print(f"L={L} seed={seed} {name} {_digest(*arrays)}", flush=True)
+                case = f"L={L} seed={seed} {name}"
+                print(f"{case} {_digest(*arrays)}", flush=True)
+                values.update({f"{case}|{i}": np.asarray(a) for i, a in enumerate(arrays)})
+    if args.values:
+        np.savez(args.values, **values)
 
 
 if __name__ == "__main__":

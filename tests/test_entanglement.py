@@ -314,6 +314,18 @@ def test_entropy_guard_rejects_negative_weight():
         _entropy_from_eigs(np.array([1.0, -1e-6]))
 
 
+def test_entropy_guards_raise_on_nan(rng, basis8):
+    # a NaN compares False with every bound, so each guard must test
+    # "not within the bound" rather than "beyond it"
+    with pytest.raises(NumericError, match="eigenvalue"):
+        _entropy_from_eigs(np.array([0.5, np.nan, 0.5]))
+    # word 0b11110000 is the 1x1 block of the half cut (no up spin on the left)
+    block = _unit_columns(basis8, rng, 1)
+    block[basis8.index_of(0b11110000), 0] = np.nan
+    with pytest.raises(NumericError, match="spectral weight"):
+        _half_chain_entropies(basis8, block)
+
+
 def test_entropy_of_clipped_tiny_negatives():
     # rounding-level negatives are clipped, not fatal
     val = _entropy_from_eigs(np.array([1.0, -1e-15]))

@@ -4,12 +4,12 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from entdyn import evolution, operators
+from entdyn import _kernels, evolution, operators
 from entdyn.basis import enumerate_sector
 from entdyn.entanglement import baee, hcee, subset_entropy
 from entdyn.entanglement import Bipartition
 from entdyn.errors import CapacityError, NumericError, ParameterError
-from entdyn.experiments import ProtocolSpec, _make_engine
+from entdyn.experiments import ProtocolSpec, _make_engine, delta_s_sweep, derive_rng
 from entdyn.evolution import (
     build_floquet,
     floquet_power,
@@ -491,3 +491,86 @@ def test_run_rqc_baee_recording(basis8, rng):
     )
     assert traj.baee is not None
     assert traj.baee.shape == (2,)
+
+
+def _cut_bonds(L, rng):
+    """Bonds with long runs off the centre bond and back-to-back centre bonds."""
+    c = L // 2
+    off = [b for b in range(1, L) if b != c]
+    tail = rng.integers(1, L, size=20).tolist()
+    return np.array(off * 2 + [c, c, c] + off[::-1] + [c] + off[:3] + tail)
+
+
+@pytest.mark.parametrize("L", [8, 10, 12])
+@pytest.mark.parametrize(
+    "alpha, beta", [(2.2, 0.8), (np.pi, np.pi), (np.pi, 0.0)], ids=["generic", "swap", "class_c"]
+)
+@pytest.mark.parametrize("m", [None, 3], ids=["state", "block"])
+def test_circuit_readings_match_a_reading_per_mark(L, alpha, beta, m, rng):
+    basis = enumerate_sector(L, 0)
+    gate = operators.build_two_qubit_gate(alpha, beta)
+    amps = np.stack(
+        [random_sector_state(basis, rng).amplitudes for _ in range(m or 1)], axis=1
+    )
+    amps = amps[:, 0] if m is None else amps
+    bonds = _cut_bonds(L, rng)
+    depth = bonds.size
+    # every depth through the first runs, then sparse marks up to depth
+    marks = sorted(set(range(2 * L + 2)) | set(range(2 * L + 2, depth, 3)) | {depth})
+    h, _ = evolution._circuit_readings(amps.copy(), gate, basis, bonds, marks)
+    work = amps.copy()
+    expected = [
+        evolution._half_chain_entropies(
+            basis, (work / np.linalg.norm(work, axis=0)).reshape(basis.dim, -1)
+        )
+        for _ in evolution._apply_circuit(work, gate, basis, bonds, marks)
+    ]
+    assert h.shape == (len(marks), m or 1)
+    assert np.abs(h - np.array(expected)).max() < 1e-13
+
+
+def _count_readings(monkeypatch):
+    calls = []
+    read = evolution._half_chain_entropies
+
+    def counted(*args):
+        calls.append(1)
+        return read(*args)
+
+    monkeypatch.setattr(evolution, "_half_chain_entropies", counted)
+    return calls
+
+
+def test_circuit_reads_the_half_chain_only_after_a_centre_gate(basis8, rng, monkeypatch):
+    calls = _count_readings(monkeypatch)
+    gate = operators.build_two_qubit_gate(2.2, 0.8)
+    state = random_sector_state(basis8, rng).amplitudes
+    # centre bond 4 at layers 2, 7 and 8: marks 3 and 9 read, marks 5 and 10 reuse
+    bonds = np.array([1, 4, 3, 5, 6, 7, 4, 4, 2, 1])
+    evolution._circuit_readings(state.copy(), gate, basis8, bonds, [0, 3, 5, 9, 10])
+    assert len(calls) == 3
+    calls.clear()
+    evolution._circuit_readings(state.copy(), gate, basis8, bonds, [0, 5, 10], True)
+    assert len(calls) == 3  # BAEE at every mark, the half chain as before
+    # the saturation window of a circuit sweep: the last 100 of 2000 layers
+    calls.clear()
+    spec = ProtocolSpec(kind="rqc", alpha=2.2, beta=0.8)
+    delta_s_sweep(12, spec, runs=1, master_seed=3, circuit_samples=1, depth=2000)
+    bonds = derive_rng(3, 0, "circuit:0").integers(1, 12, size=2000)
+    assert len(calls) == 1 + np.count_nonzero(bonds[1901:] == 6)
+
+
+def test_circuit_norm_guard_checks_every_mark(basis8, rng, monkeypatch):
+    gate_mix = _kernels.gate_mix
+
+    def leaky(amps, *args):
+        gate_mix(amps, *args)
+        amps *= 1 + 1e-5
+
+    monkeypatch.setattr(_kernels, "gate_mix", leaky)
+    gate = operators.build_two_qubit_gate(2.2, 0.8)
+    state = random_sector_state(basis8, rng).amplitudes
+    # no gate crosses the cut, so every mark after 0 reuses the first reading
+    bonds = np.array([1, 2, 3, 5, 6, 7])
+    with pytest.raises(NumericError, match="norm drift"):
+        evolution._circuit_readings(state.copy(), gate, basis8, bonds, range(7))
