@@ -104,8 +104,18 @@ def _rank_table(n: int) -> np.ndarray:
     return rank
 
 
+def _whole_numbers(values, what: str) -> np.ndarray:
+    """``values`` as int64, refusing any entry that is not a whole number."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the test below
+        out = raw.astype(np.int64)
+    if not np.array_equal(out, raw):
+        raise ParameterError(f"{what} must be whole numbers")
+    return out
+
+
 def _validate_subset(L: int, subset) -> tuple[int, ...]:
-    sites = tuple(sorted(int(s) for s in subset))
+    sites = tuple(sorted(_whole_numbers(list(subset), "subset sites").tolist()))
     if len(sites) == 0:
         raise ParameterError("subset must be nonempty")
     if len(set(sites)) != len(sites):

@@ -14,8 +14,9 @@ checks that each row's spectral weight is one, and applies the clip
 policy.  Three callers feed it: ``subset_entropy`` (one state, any
 subset), ``_half_chain_entropies`` (a block of states, the half chain) and
 ``_bipartition_entropies`` (a block of states, every canonical
-bipartition, on a thread pool); ``bipartition_entropies`` and ``baee``
-are its one-column calls.  Two aggregate quantities drive the experiments:
+bipartition, gathered by small deposit tables on a thread pool);
+``bipartition_entropies`` and ``baee`` are its one-column calls.  Two
+aggregate quantities drive the experiments:
 
 * ``hcee``  -- entropy of the left half chain, sites 1..L/2.
 * ``baee``  -- entropy averaged over every equal bipartition of the chain,
@@ -34,12 +35,7 @@ from math import comb, fsum, log
 
 import numpy as np
 
-from .basis import (
-    SectorBasis,
-    _split_geometry,
-    _subset_positions,
-    subsystem_split,
-)
+from .basis import SectorBasis, _split_geometry, _whole_numbers, subsystem_split
 from .errors import NumericError, ParameterError
 from .state import _NORM_TOL, SectorState
 
@@ -92,7 +88,7 @@ class Bipartition:
         """Canonicalize an arbitrary half-subset (or its complement)."""
         if L < 2 or L % 2 != 0:
             raise ParameterError(f"L must be even and at least 2, got {L}")
-        half = tuple(sorted(int(s) for s in sites))
+        half = tuple(sorted(_whole_numbers(list(sites), "sites").tolist()))
         if len(half) != L // 2 or len(set(half)) != len(half):
             raise ParameterError(f"need L/2 distinct sites, got {half}")
         if half and (half[0] < 1 or half[-1] > L):
@@ -105,6 +101,8 @@ class Bipartition:
     @classmethod
     def from_mask(cls, L: int, mask: int) -> "Bipartition":
         sites = [s for s in range(1, L + 1) if (mask >> (s - 1)) & 1]
+        if mask != sum(1 << (s - 1) for s in sites):
+            raise ParameterError(f"mask {mask} sets bits outside sites 1..{L}")
         return cls.from_sites(L, sites)
 
     @classmethod
@@ -173,7 +171,6 @@ def _half_chain_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
     return _subset_entropies(basis, range(1, basis.L // 2 + 1), block)
 
 
-_SLOTS_CACHE_MAX_L = 14
 # rows (bipartitions x states) per chunk of the bipartition entropies
 _CHUNK_ROWS = 128
 
@@ -185,17 +182,34 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _half_codes(basis: SectorBasis):
+    """``(code_a, code_b, ordinal)``, cached: the left- and right-half bits of
+    the word at each half-chain slot, and the sector ordinal of every word."""
+    if "half_codes" not in basis._cache:
+        half = basis.L // 2
+        words = np.empty_like(basis.states)
+        words[subsystem_split(basis, range(1, half + 1)).positions] = basis.states
+        ordinal = np.zeros(1 << basis.L, dtype=np.int32)
+        ordinal[basis.states] = np.arange(basis.dim, dtype=np.int32)
+        basis._cache["half_codes"] = (words & ((1 << half) - 1), words >> half, ordinal)
+    return basis._cache["half_codes"]
+
+
 def _bipartition_slots(basis: SectorBasis, start: int, stop: int) -> np.ndarray:
     """Sector ordinal at every block-layout slot, for bipartitions[start:stop].
 
     Row ``i`` inverts the positions of bipartition ``start + i``, so
     ``amps[rows]`` lays one state out in the blocks of every bipartition.
+    A slot holds the same two half codes in every equal split, so a row
+    deposits the half chain's codes at the sites of its bipartition.
     """
-    rows = np.empty((stop - start, basis.dim), dtype=np.int32)
-    ordinals = np.arange(basis.dim, dtype=np.int32)
-    for row, bp in zip(rows, enumerate_bipartitions(basis.L)[start:stop]):
-        row[_subset_positions(basis, bp.sites)] = ordinals
-    return rows
+    code_a, code_b, ordinal = _half_codes(basis)
+    half = basis.L // 2
+    bits = (np.arange(1 << half, dtype=np.int32) >> np.arange(half, dtype=np.int32)[:, None]) & 1
+    cuts = enumerate_bipartitions(basis.L)[start:stop]
+    dep_a = (1 << (np.array([bp.sites for bp in cuts], dtype=np.int32) - 1)) @ bits
+    dep_b = (1 << (np.array([bp.complement for bp in cuts], dtype=np.int32) - 1)) @ bits
+    return ordinal[dep_a[:, code_a] | dep_b[:, code_b]]
 
 
 def _bipartition_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
@@ -209,17 +223,11 @@ def _bipartition_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
     calling thread alone on one CPU): LAPACK and the Gram products release
     the GIL.  No chunk depends on another, and each row's entropy depends
     on that row alone, so the entropies are the same bits for any number
-    of workers or states.  Up to L = 14 the gather rows are kept on the
-    basis, stored once all chunks have filled them; workers never write
-    the basis cache.
+    of workers or states.  Workers only read the basis cache.
     """
     half = basis.L // 2
     n = len(enumerate_bipartitions(basis.L))
-    _split_geometry(basis, half)  # cached here, only read by the workers
-    cached = basis._cache.get("baee_slots")
-    fresh = None
-    if cached is None and basis.L <= _SLOTS_CACHE_MAX_L:
-        fresh = np.empty((n, basis.dim), dtype=np.int32)
+    _half_codes(basis)  # and the block geometry, cached here for the workers
     amps = np.ascontiguousarray(block.T, dtype=np.complex128)
     m = amps.shape[0]
     c = max(1, _CHUNK_ROWS // m)
@@ -227,12 +235,7 @@ def _bipartition_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
 
     def chunk(start: int) -> None:
         stop = min(start + c, n)
-        if cached is not None:
-            rows = cached[start:stop]
-        else:
-            rows = _bipartition_slots(basis, start, stop)
-            if fresh is not None:
-                fresh[start:stop] = rows
+        rows = _bipartition_slots(basis, start, stop)
         buf = np.take(amps, rows, axis=1).reshape(m * (stop - start), basis.dim)
         ent = _entropies_of_scattered(basis, buf, half)
         out[:, start:stop] = ent.reshape(m, stop - start)
@@ -246,8 +249,6 @@ def _bipartition_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for _ in pool.map(chunk, starts):
                 pass
-    if fresh is not None:
-        basis._cache["baee_slots"] = fresh
     return out
 
 

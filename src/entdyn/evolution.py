@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _kernels
-from .basis import SectorBasis, bond_groups
+from .basis import SectorBasis, _whole_numbers, bond_groups
 from .entanglement import _bipartition_entropies, _half_chain_entropies
 # _baee and _hcee are unused here: entbench/tracer.py wraps them
 from .entanglement import baee as _baee  # noqa: F401
@@ -493,16 +493,6 @@ def hybrid_schedule(
     if integer:
         times = np.unique(np.rint(times)).astype(np.int64)
     return times
-
-
-def _whole_numbers(values, what: str) -> np.ndarray:
-    """``values`` as int64, refusing any entry that is not a whole number."""
-    raw = np.asarray(values)
-    with np.errstate(invalid="ignore"):  # NaN and inf fail the test below
-        out = raw.astype(np.int64)
-    if not np.array_equal(out, raw):
-        raise ParameterError(f"{what} must be whole numbers")
-    return out
 
 
 def run_rqc(

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import SectorBasis, enumerate_sector
+from .basis import SectorBasis, _whole_numbers, enumerate_sector
 # baee, hcee, propagate, floquet_power, run_rqc, spectral_decompose and
 # build_local_cut are unused here: entbench/tracer.py wraps them
 from .entanglement import _bipartition_entropies, _half_chain_entropies, baee, hcee  # noqa: F401
@@ -53,7 +53,6 @@ from .evolution import (  # noqa: F401
     _phase_factors,
     _spectral_apply,
     _spectral_interval,
-    _whole_numbers,
     build_floquet,
     floquet_power,
     hybrid_schedule,

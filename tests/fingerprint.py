@@ -73,6 +73,30 @@ def _cases(L: int, seed: int):
     yield "reservoir_curve", (c.hcee, c.baee)
 
 
+def _all_cases():
+    """``(case, arrays)`` for L = 8 and 10 at two seeds, then two larger cases.
+
+    The larger ones are the multi-run reservoir curve at L = 12, whose
+    bipartition entropies run in many chunks, and one 3-state block of
+    bipartition entropies at L = 14.
+    """
+    from entdyn.basis import enumerate_sector
+    from entdyn.entanglement import _bipartition_entropies
+    from entdyn.experiments import reservoir_curve
+
+    for L in (8, 10):
+        for seed in (0, 1):
+            for name, arrays in _cases(L, seed):
+                yield f"L={L} seed={seed} {name}", arrays
+    c = reservoir_curve(12, runs=RUNS)
+    yield "L=12 seed=0 reservoir_curve", (c.hcee, c.baee)
+    basis = enumerate_sector(14, 0)
+    z = np.random.default_rng(14).standard_normal((basis.dim, 6)).view(np.complex128)
+    yield "L=14 _bipartition_entropies", (
+        _bipartition_entropies(basis, z / np.linalg.norm(z, axis=0)),
+    )
+
+
 def _compare(a_path: str, b_path: str) -> None:
     """Print each case's largest |difference| between two ``--values`` files."""
     a, b = np.load(a_path), np.load(b_path)
@@ -105,12 +129,9 @@ def main() -> None:
         parser.error("give SRC_DIR or --compare")
     sys.path.insert(0, os.path.abspath(args.src))
     values = {}
-    for L in (8, 10):
-        for seed in (0, 1):
-            for name, arrays in _cases(L, seed):
-                case = f"L={L} seed={seed} {name}"
-                print(f"{case} {_digest(*arrays)}", flush=True)
-                values.update({f"{case}|{i}": np.asarray(a) for i, a in enumerate(arrays)})
+    for case, arrays in _all_cases():
+        print(f"{case} {_digest(*arrays)}", flush=True)
+        values.update({f"{case}|{i}": np.asarray(a) for i, a in enumerate(arrays)})
     if args.values:
         np.savez(args.values, **values)
 

@@ -330,8 +330,8 @@ def test_reservoir_curve_shape():
 @pytest.mark.skipif(
     os.environ.get("ENTDYN_HEAVY") != "1",
     reason=(
-        "about 4.5 h on one BLAS thread and two CPUs: 72 runs of one "
-        "37-state BAEE block of ~224 s plus a ~1.2 s Chebyshev preparation, "
+        "about 4.3 h on one BLAS thread and two CPUs: 72 runs of one "
+        "37-state BAEE block of ~215 s plus a ~1 s Chebyshev preparation, "
         "~0.2 GB peak; set ENTDYN_HEAVY=1"
     ),
 )

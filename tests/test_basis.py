@@ -112,6 +112,11 @@ def test_subset_validation(basis8):
         subsystem_split(basis8, tuple(range(1, 9)))  # proper subsets only
 
 
+def test_subset_refuses_fractional_sites(basis6):
+    with pytest.raises(ParameterError, match="whole numbers"):
+        subsystem_split(basis6, [1.9, 2.2])
+
+
 def test_bond_groups_partition(basis8):
     # the lean gate mixes only these pairs; it relies on every other ordinal
     # having equal bond bits, which a gate with u[0, 0] == u[3, 3] only phases

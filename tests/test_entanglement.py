@@ -2,12 +2,13 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from entdyn import entanglement
-from entdyn.basis import enumerate_sector
+from entdyn.basis import _subset_positions, enumerate_sector
 from entdyn.entanglement import (
     Bipartition,
     baee,
@@ -45,6 +46,13 @@ def test_bipartition_rejects_wrong_size():
         Bipartition.from_sites(6, (1, 2))
     with pytest.raises(ParameterError):
         Bipartition.from_sites(6, (1, 2, 9))
+
+
+def test_bipartition_refuses_fractional_sites_and_stray_mask_bits():
+    with pytest.raises(ParameterError, match="whole numbers"):
+        Bipartition.from_sites(4, [2.7, 3])
+    with pytest.raises(ParameterError, match="outside sites"):
+        Bipartition.from_mask(4, 0b10011)
 
 
 def test_enumerate_bipartitions_counts():
@@ -165,7 +173,11 @@ print(_block_mismatches())
 
 
 def _entropy_bits(L, m, rng):
-    """``uint64`` views of two block calls on one new basis: filling, then cached."""
+    """``uint64`` views of two block calls on one new basis.
+
+    The first call fills the basis cache (block geometry, half codes) and
+    the second reads it.
+    """
     basis = enumerate_sector(L, 0)
     block = _unit_columns(basis, rng, m)
     first = entanglement._bipartition_entropies(basis, block)
@@ -216,17 +228,35 @@ for L, states in _POOL_CASES:
     assert lines == ["True"] * len(_POOL_CASES)
 
 
-def test_uncached_rows_match_cached(monkeypatch):
-    # above the cache limit (L = 16 and up) every chunk builds its own rows
-    cached = _entropy_bits(12, 3, np.random.default_rng(3))
-    monkeypatch.setattr(entanglement, "_SLOTS_CACHE_MAX_L", 10)
+def test_rows_invert_subset_positions():
+    # every row lays a state out as the scatter through _subset_positions does
+    for L in range(2, 17, 2):
+        basis = enumerate_sector(L, 0)
+        cuts = enumerate_bipartitions(L)
+        step = 1 if L <= 12 else 97
+        for i in [*range(0, len(cuts), step), len(cuts) - 1]:
+            want = np.empty(basis.dim, dtype=np.int64)
+            want[_subset_positions(basis, cuts[i].sites)] = np.arange(basis.dim)
+            assert np.array_equal(entanglement._bipartition_slots(basis, i, i + 1)[0], want)
+
+
+def test_bipartition_entropies_keep_no_dense_table(monkeypatch):
+    # a (462, 924) int32 slot table kept on the basis peaked at 5.58 MB
+    # here; building each chunk's rows from deposit tables peaks at 3.96 MB
+    monkeypatch.setattr(entanglement, "_cpus", lambda: 1)
     basis = enumerate_sector(12, 0)
-    block = _unit_columns(basis, np.random.default_rng(3), 3)
-    assert np.array_equal(
-        cached[: len(cached) // 2],
-        entanglement._bipartition_entropies(basis, block).view(np.uint64),
-    )
-    assert "baee_slots" not in basis._cache
+    block = _unit_columns(basis, np.random.default_rng(3), 37)
+    tracemalloc.start()
+    try:
+        entanglement._bipartition_entropies(basis, block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    limit = max(basis.dim, 2**basis.L)
+    for value in basis._cache.values():
+        for a in value if isinstance(value, tuple) else (value,):
+            assert np.asarray(a).size <= limit
+    assert peak < 4_800_000
 
 
 def test_pool_raises_a_weight_defect(rng, monkeypatch):
@@ -338,3 +368,5 @@ def test_subset_entropy_validates(rng, basis8):
         subset_entropy(state, ())
     with pytest.raises(ParameterError):
         subset_entropy(state, tuple(range(1, 9)))
+    with pytest.raises(ParameterError, match="whole numbers"):
+        subset_entropy(state, [1.5, 2.5])
