@@ -100,10 +100,9 @@ class Bipartition:
 
     @classmethod
     def from_mask(cls, L: int, mask: int) -> "Bipartition":
-        sites = [s for s in range(1, L + 1) if (mask >> (s - 1)) & 1]
-        if mask != sum(1 << (s - 1) for s in sites):
+        if mask < 0 or mask >> L:
             raise ParameterError(f"mask {mask} sets bits outside sites 1..{L}")
-        return cls.from_sites(L, sites)
+        return cls.from_sites(L, [s for s in range(1, L + 1) if (mask >> (s - 1)) & 1])
 
     @classmethod
     def half_chain(cls, L: int) -> "Bipartition":

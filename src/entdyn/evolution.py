@@ -51,6 +51,7 @@ _NORM_DRIFT_TOL = 1e-6
 # vectors 64 at a time.
 _CHEB_WIDEN = 1.01
 _CHEB_CHUNK = 64
+_BAEE_BLOCK = 64  # circuit snapshot columns per BAEE block call
 # Seconds of each route, fitted at L = 6 to 14 on one BLAS thread (2-core
 # Xeon VM, OpenBLAS): the dense route per matrix entry and per dim^3 (0.2 s
 # at dim 924, 11 s at dim 3432); a Chebyshev step, per step, per stored
@@ -556,12 +557,14 @@ def _circuit_readings(
     unitary inside one half and leaves the half-chain spectrum unchanged,
     so a mark with no centre-bond gate since the last computed one reuses
     that reading; it differs from a fresh one only by rounding (~1e-15
-    bits).  Every mark's norm passes the drift guard, and every mark reads
-    its own BAEE.  Returns ``(hcee, baee)`` of shape ``(len(marks), m)``,
-    with m = 1 for one state and ``baee`` None unless ``record_baee``.
+    bits).  Every mark's norm passes the drift guard.  The BAEE reads up to
+    ``_BAEE_BLOCK`` snapshot columns per call, bit for bit a call per mark.
+    Returns ``(hcee, baee)`` of shape ``(len(marks), m)`` for increasing
+    ``marks`` in 0..len(bonds), with m = 1 for one state and ``baee`` None
+    unless ``record_baee``.
     """
     crossed = np.concatenate(([0], np.cumsum(np.asarray(bonds) == basis.L // 2)))
-    s_h, s_b, last = [], [], -1
+    s_h, s_b, snaps, last = [], [], [], -1
     for d in _apply_circuit(amps, gate, basis, bonds, marks):
         n = _checked_norms(amps, "circuit")
         fresh = crossed[d] != last
@@ -571,8 +574,11 @@ def _circuit_readings(
             h, last = _half_chain_entropies(basis, snap), crossed[d]
         s_h.append(h)
         if record_baee:
-            s_b.append(_bipartition_entropies(basis, snap).mean(axis=1))
-    return np.array(s_h), (np.array(s_b) if record_baee else None)
+            snaps.append(snap)
+        if snaps and (len(snaps) * snap.shape[1] >= _BAEE_BLOCK or d == marks[-1]):
+            s_b.append(_bipartition_entropies(basis, np.hstack(snaps)).mean(axis=1))
+            snaps = []
+    return np.array(s_h), (np.concatenate(s_b).reshape(len(s_h), -1) if record_baee else None)
 
 
 def _apply_circuit(amps: np.ndarray, gate: TwoQubitGate, basis: SectorBasis, bonds, marks):

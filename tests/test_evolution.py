@@ -529,6 +529,28 @@ def test_circuit_readings_match_a_reading_per_mark(L, alpha, beta, m, rng):
     assert np.abs(h - np.array(expected)).max() < 1e-13
 
 
+@pytest.mark.parametrize("m", [None, 3], ids=["state", "block"])
+def test_circuit_baee_blocks_match_a_reading_per_mark(basis8, m, rng):
+    # 71 marks of one or three columns span several BAEE block calls
+    gate = operators.build_two_qubit_gate(2.2, 0.8)
+    amps = np.stack(
+        [random_sector_state(basis8, rng).amplitudes for _ in range(m or 1)], axis=1
+    )
+    amps = amps[:, 0] if m is None else amps
+    bonds, marks = rng.integers(1, 8, size=70), range(71)
+    _, b = evolution._circuit_readings(amps.copy(), gate, basis8, bonds, marks, True)
+    work = amps.copy()
+    expected = [
+        evolution._bipartition_entropies(
+            basis8, (work / np.linalg.norm(work, axis=0)).reshape(basis8.dim, -1)
+        ).mean(axis=1)
+        for _ in evolution._apply_circuit(work, gate, basis8, bonds, marks)
+    ]
+    assert len(marks) * (m or 1) > evolution._BAEE_BLOCK
+    assert b.shape == (len(marks), m or 1)
+    assert np.array_equal(b, np.array(expected))
+
+
 def _count_readings(monkeypatch):
     calls = []
     read = evolution._half_chain_entropies
