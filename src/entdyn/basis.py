@@ -28,12 +28,6 @@ from .errors import CapacityError, ParameterError, StateNotInSector
 _MAX_L = 20
 
 
-def binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def popcount(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).astype(np.int64)
 
@@ -157,7 +151,7 @@ def _split_geometry(basis: SectorBasis, nA: int):
     k_hi = min(nA, n_up)
     ks = np.arange(k_lo, k_hi + 1, dtype=np.int64)
     shapes = np.array(
-        [[binom(nA, int(k)), binom(nB, n_up - int(k))] for k in ks], dtype=np.int64
+        [[math.comb(nA, int(k)), math.comb(nB, n_up - int(k))] for k in ks], dtype=np.int64
     )
     sizes = shapes[:, 0] * shapes[:, 1]
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.int64)

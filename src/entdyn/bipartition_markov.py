@@ -23,6 +23,7 @@ from .entanglement import Bipartition, enumerate_bipartitions
 from .errors import CapacityError, NumericError, ParameterError
 
 _MAX_DENSE_L = 14
+_STATIONARY_TOL = 1e-12
 
 
 def swap_action(bp: Bipartition, bond: int) -> Bipartition:
@@ -48,13 +49,6 @@ class TransitionMatrix:
     @property
     def n(self) -> int:
         return len(self.states)
-
-    def index_of(self, bp: Bipartition) -> int:
-        masks = [s.mask for s in self.states]
-        pos = int(np.searchsorted(masks, bp.mask))
-        if pos >= len(masks) or masks[pos] != bp.mask:
-            raise ParameterError(f"bipartition {bp.sites} not in state list")
-        return pos
 
 
 def _successor_table(L: int) -> tuple[tuple[Bipartition, ...], np.ndarray]:
@@ -86,14 +80,14 @@ def transition_matrix(L: int) -> TransitionMatrix:
     return TransitionMatrix(L=L, states=states, P=counts / float(L - 1))
 
 
-def stationary_distribution(P: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Stationary row vector of a stochastic matrix, solved directly.
 
     Solves ``pi (P - I) = 0`` with the normalization ``sum(pi) = 1`` as a
     replacement equation; power iteration stalls around 1e-12 once the
     spectral gap is small, which is not good enough for the exactness
     checks this chain supports.  Raises ``NumericError`` when the residual
-    ``max|pi P - pi|`` exceeds ``tol``.
+    ``max|pi P - pi|`` exceeds ``_STATIONARY_TOL``.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -108,8 +102,8 @@ def stationary_distribution(P: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"stationary solve failed: {exc}")
     residual = float(np.abs(pi @ P - pi).max())
-    if residual > tol:
-        raise NumericError(f"stationary residual {residual:.3e} exceeds {tol:.3e}")
+    if residual > _STATIONARY_TOL:
+        raise NumericError(f"stationary residual {residual:.3e} exceeds {_STATIONARY_TOL:.3e}")
     return pi / pi.sum()
 
 
@@ -163,13 +157,8 @@ def second_eigenvalue_modulus(P: np.ndarray) -> float:
 class OccupationResult:
     """Visit statistics of a simulated bipartition walk."""
 
-    L: int
     counts: np.ndarray
-    frequencies: np.ndarray
     tv_distance: float
-    steps: int
-    burn_in: int
-    start_index: int
 
 
 def monte_carlo_occupation(
@@ -177,39 +166,23 @@ def monte_carlo_occupation(
     steps: int,
     burn_in: int,
     rng: np.random.Generator,
-    start: Bipartition | None = None,
 ) -> OccupationResult:
     """Simulate the walk and compare occupation to the uniform law.
 
-    ``burn_in`` transitions are discarded, the remaining ``steps - burn_in``
-    visited states are tallied, and ``tv_distance`` is the total-variation
-    gap to uniform.  The walk starts from the half-chain bipartition unless
-    ``start`` is given.
+    The walk starts from the half-chain bipartition.  ``burn_in``
+    transitions are discarded, the remaining ``steps - burn_in`` visited
+    states are tallied, and ``tv_distance`` is the total-variation gap to
+    uniform.
     """
     if burn_in < 0 or steps <= burn_in:
         raise ParameterError("need steps > burn_in >= 0")
     states, table = _successor_table(L)
-    if start is None:
-        start = Bipartition.half_chain(L)
-    index = {bp.mask: i for i, bp in enumerate(states)}
-    if start.mask not in index:
-        raise ParameterError(f"start bipartition {start.sites} not canonical for L={L}")
-    s0 = index[start.mask]
+    s0 = [bp.mask for bp in states].index(Bipartition.half_chain(L).mask)
     bonds = rng.integers(0, L - 1, size=steps)
     _, counts = _kernels.swap_walk(table, s0, bonds, burn_in)
-    kept = steps - burn_in
-    freq = counts / float(kept)
-    n = len(states)
-    tv = 0.5 * float(np.abs(freq - 1.0 / n).sum())
-    return OccupationResult(
-        L=L,
-        counts=counts,
-        frequencies=freq,
-        tv_distance=tv,
-        steps=steps,
-        burn_in=burn_in,
-        start_index=s0,
-    )
+    freq = counts / float(steps - burn_in)
+    tv = 0.5 * float(np.abs(freq - 1.0 / len(states)).sum())
+    return OccupationResult(counts=counts, tv_distance=tv)
 
 
 def markov_report(

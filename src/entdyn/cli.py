@@ -305,10 +305,7 @@ def cli(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         cfg = _load_config(args)
         return _HANDLERS[args.command](cfg, t0)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ParameterError, CapacityError) as exc:
+    except (ConfigError, ParameterError, CapacityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

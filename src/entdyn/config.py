@@ -29,6 +29,7 @@ from .experiments import (
     RQC_DEPTH,
     THERMAL_W,
 )
+from .io import fmt_float
 
 
 @dataclass(frozen=True)
@@ -110,12 +111,8 @@ def _parse_ranks(key: str, text: str) -> tuple[int, ...] | None:
     return tuple(_parse_int(key, p) for p in items)
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _fmt_floats(xs) -> str:
-    return ",".join(_fmt_float(float(x)) for x in xs)
+    return ",".join(map(fmt_float, xs))
 
 
 def _fmt_ranks(xs) -> str:
@@ -134,21 +131,21 @@ _SCHEMA: dict[str, tuple[str, object, object]] = {
     "out": ("out", _parse_str, str),
     "heavy": ("heavy", _parse_bool, _fmt_bool),
     "protocol.kind": ("protocol_kind", _parse_str, str),
-    "protocol.W": ("protocol_W", _parse_float, _fmt_float),
-    "protocol.jz": ("protocol_jz", _parse_float, _fmt_float),
-    "protocol.alpha": ("protocol_alpha", _parse_float, _fmt_float),
-    "protocol.beta": ("protocol_beta", _parse_float, _fmt_float),
-    "protocol.T0": ("protocol_T0", _parse_float, _fmt_float),
-    "protocol.T1": ("protocol_T1", _parse_float, _fmt_float),
-    "prep.T": ("prep_T", _parse_float, _fmt_float),
-    "prep.W": ("prep_W", _parse_float, _fmt_float),
-    "prep.jz": ("prep_jz", _parse_float, _fmt_float),
+    "protocol.W": ("protocol_W", _parse_float, fmt_float),
+    "protocol.jz": ("protocol_jz", _parse_float, fmt_float),
+    "protocol.alpha": ("protocol_alpha", _parse_float, fmt_float),
+    "protocol.beta": ("protocol_beta", _parse_float, fmt_float),
+    "protocol.T0": ("protocol_T0", _parse_float, fmt_float),
+    "protocol.T1": ("protocol_T1", _parse_float, fmt_float),
+    "prep.T": ("prep_T", _parse_float, fmt_float),
+    "prep.W": ("prep_W", _parse_float, fmt_float),
+    "prep.jz": ("prep_jz", _parse_float, fmt_float),
     "prep.local": ("prep_local", _parse_bool, _fmt_bool),
     "T_list": ("T_list", _parse_floats, _fmt_floats),
     "circuit_samples": ("circuit_samples", _parse_int, str),
     "depth": ("depth", _parse_int, str),
     "record_baee": ("record_baee", _parse_bool, _fmt_bool),
-    "schedule.t_max": ("schedule_t_max", _parse_float, _fmt_float),
+    "schedule.t_max": ("schedule_t_max", _parse_float, fmt_float),
     "markov.steps": ("markov_steps", _parse_int, str),
     "markov.burn_in": ("markov_burn_in", _parse_int, str),
     "eigensweep.ranks": ("eigensweep_ranks", _parse_ranks, _fmt_ranks),

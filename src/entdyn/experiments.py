@@ -270,12 +270,10 @@ def _prep_times(T_list) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_circuits(circuit_samples, depth, least_depth: int = 0) -> None:
-    """Refuse a circuit count below 1 or a depth below ``least_depth``, or either not whole."""
-    checks = (("circuit_samples", circuit_samples, 1), ("depth", depth, least_depth))
-    for name, value, least in checks:
-        if not (isinstance(value, (int, np.integer)) and value >= least):
-            raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_count(name: str, value) -> None:
+    """Refuse a run or circuit count or a depth below 1 or not a whole number."""
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(eq=False)
@@ -357,8 +355,10 @@ def _make_engine(
     circuit_samples: int = CIRCUIT_SAMPLES,
     depth: int = RQC_DEPTH,
 ) -> _QuenchEngine:
-    """The quench of one run: its disorder draw and operator, or circuits."""
-    _check_circuits(circuit_samples, depth)
+    """The quench of one run: its disorder draw and operator, or circuits.
+
+    The driver checks its circuit count and depth once, in :func:`_setup`.
+    """
     spec = spec.normalized()
     engine = _QuenchEngine(
         spec=spec,
@@ -415,8 +415,7 @@ def default_schedule(kind: str, depth: int = RQC_DEPTH, t_max: float | None = No
     kinds.
     """
     if kind == "rqc":
-        if depth < 1:
-            raise ParameterError(f"depth must be positive, got {depth}")
+        _check_count("depth", depth)
         if depth <= 10:
             return np.arange(depth + 1, dtype=np.int64)
         return hybrid_schedule(t_max=depth, integer=True)
@@ -426,13 +425,22 @@ def default_schedule(kind: str, depth: int = RQC_DEPTH, t_max: float | None = No
     return hybrid_schedule(t_max=t_max, integer=floquet)
 
 
-def _check_runs_and_prep(runs: int, prep_W: float, prep_jz: float) -> None:
-    """Refuse a driver's run count or preparation chain up front."""
-    if runs < 1:
-        raise ParameterError(f"runs must be positive, got {runs}")
+def _setup(
+    L: int, spec: ProtocolSpec, runs: int, circuit_samples, depth, prep_W, prep_jz, T_arr=None
+) -> tuple[ProtocolSpec, SectorBasis]:
+    """Check a driver call whole before its first run; its spec and basis.
+
+    ``T_arr`` holds the preparation times, None for eigenstate preparations.
+    """
+    for name, value in (("runs", runs), ("circuit_samples", circuit_samples), ("depth", depth)):
+        _check_count(name, value)
     for name, value in (("prep_W", prep_W), ("prep_jz", prep_jz)):
         if not np.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
+    spec = spec.normalized()
+    basis = enumerate_sector(L, 0)
+    _preflight(basis, spec.kind, None if T_arr is None else (T_arr, prep_W, prep_jz))
+    return spec, basis
 
 
 def mean_trajectory(
@@ -457,13 +465,10 @@ def mean_trajectory(
     ``schedule`` lists times for Hamiltonian kinds and whole periods or
     layers for the Floquet map and circuits.
     """
-    _check_runs_and_prep(runs, prep_W, prep_jz)
     if not 0 <= prep_T < np.inf:
         raise ParameterError(f"prep_T must be finite and nonnegative, got {prep_T}")
-    spec = spec.normalized()
+    spec, basis = _setup(L, spec, runs, circuit_samples, depth, prep_W, prep_jz, [prep_T])
     kind = spec.kind
-    basis = enumerate_sector(L, 0)
-    _preflight(basis, kind, ([prep_T], prep_W, prep_jz))
     if schedule is None:
         schedule = default_schedule(kind, depth)
     times = np.asarray(schedule, dtype=np.float64)
@@ -550,12 +555,8 @@ def delta_s_sweep(
     Per run: one random product state, one preparation disorder, and one
     quench setup (disorder or circuit sequences) shared by every ``T``.
     """
-    _check_runs_and_prep(runs, prep_W, prep_jz)
-    _check_circuits(circuit_samples, depth, least_depth=1)
-    spec = spec.normalized()
     T_arr = _prep_times(T_list)
-    basis = enumerate_sector(L, 0)
-    _preflight(basis, spec.kind, (T_arr, prep_W, prep_jz))
+    spec, basis = _setup(L, spec, runs, circuit_samples, depth, prep_W, prep_jz, T_arr)
     s_i = np.empty((runs, T_arr.size))
     s_s = np.empty((runs, T_arr.size))
     for run in range(runs):
@@ -618,11 +619,7 @@ def eigenstate_sweep(
     Hamiltonian span initial entropies from area-law edges to volume-law
     bulk; each is quenched exactly like a prepared state.
     """
-    _check_runs_and_prep(runs, prep_W, prep_jz)
-    _check_circuits(circuit_samples, depth, least_depth=1)
-    spec = spec.normalized()
-    basis = enumerate_sector(L, 0)
-    _preflight(basis, spec.kind)
+    spec, basis = _setup(L, spec, runs, circuit_samples, depth, prep_W, prep_jz)
     rank_arr = _whole_numbers(
         scaled_rank_list(basis.dim) if ranks is None else list(ranks), "ranks"
     )
@@ -715,6 +712,13 @@ def reservoir_curve(
 # ---------------------------------------------------------------------------
 
 
+# bits: the largest |delta S| of an inert sweep, the least rise of a peak
+# over both ends, and the largest RMS distance from a nonincreasing fit
+EPS_INERT = 0.05
+EPS_PEAK = 0.1
+EPS_FIT = 0.05
+
+
 @dataclass(frozen=True)
 class ClassLabel:
     """Shape class of a delta-S sweep with its decision diagnostics."""
@@ -742,25 +746,20 @@ def _isotonic_decreasing(y: np.ndarray) -> np.ndarray:
     return fit[::-1]
 
 
-def classify_dynamics(
-    table: SweepTable,
-    eps_inert: float = 0.05,
-    eps_peak: float = 0.1,
-    eps_fit: float = 0.05,
-) -> ClassLabel:
+def classify_dynamics(table: SweepTable) -> ClassLabel:
     """Assign a sweep to one of three dynamical shape classes.
 
     Rows are ordered by mean initial entropy; then, in order of
-    precedence: every |delta S| below ``eps_inert`` is ``inert``; an
-    interior maximum exceeding both endpoints by ``eps_peak`` is
-    ``rise_then_fall``; a curve within ``eps_fit`` RMS of its best
+    precedence: every |delta S| below ``EPS_INERT`` is ``inert``; an
+    interior maximum exceeding both endpoints by ``EPS_PEAK`` is
+    ``rise_then_fall``; a curve within ``EPS_FIT`` RMS of its best
     nonincreasing fit is ``monotone_decreasing``; anything else is
     ``unclassified``.
     """
     order = np.argsort(table.s_initial, kind="stable")
     y = table.delta_s[order]
     diag: dict = {"max_abs_delta": float(np.abs(y).max())}
-    if diag["max_abs_delta"] < eps_inert:
+    if diag["max_abs_delta"] < EPS_INERT:
         return ClassLabel("inert", diag)
     if y.size >= 3:
         interior = y[1:-1]
@@ -771,12 +770,12 @@ def classify_dynamics(
             peak_minus_first=float(peak - y[0]),
             peak_minus_last=float(peak - y[-1]),
         )
-        if peak - y[0] >= eps_peak and peak - y[-1] >= eps_peak:
+        if peak - y[0] >= EPS_PEAK and peak - y[-1] >= EPS_PEAK:
             return ClassLabel("rise_then_fall", diag)
     fit = _isotonic_decreasing(y)
     rms = float(np.sqrt(np.mean((y - fit) ** 2)))
     diag["monotone_fit_rms"] = rms
-    if rms <= eps_fit:
+    if rms <= EPS_FIT:
         return ClassLabel("monotone_decreasing", diag)
     return ClassLabel("unclassified", diag)
 

@@ -247,10 +247,6 @@ class TwoQubitGate:
     u: np.ndarray = field(repr=False, compare=False)
 
     @property
-    def label(self) -> str:
-        return gate_class(self.alpha, self.beta)
-
-    @property
     def mix(self) -> np.ndarray:
         """Flip-flop block ``u[1:3, 1:3] / u[0, 0]``: as ``u[0, 0] == u[3, 3]``,
         the gate is ``u[0, 0]`` times one that mixes only the ud/du pairs."""

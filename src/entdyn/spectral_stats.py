@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ParameterError
 
 DEGENERACY_TOL = 1e-13
+RATIO_BINS = 25
 
 
 def _check_sorted(energies: np.ndarray) -> np.ndarray:
@@ -99,12 +100,11 @@ class Histogram:
     density: np.ndarray
 
 
-def ratio_histogram(sample: RatioSample, bins: int = 25) -> Histogram:
-    if bins < 1:
-        raise ParameterError(f"bins must be positive, got {bins}")
+def ratio_histogram(sample: RatioSample) -> Histogram:
+    """Density of the gap ratios in ``RATIO_BINS`` equal bins on [0, 1]."""
     if sample.count == 0:
         raise ParameterError("cannot histogram an empty ratio sample")
-    density, edges = np.histogram(sample.ratios, bins=bins, range=(0.0, 1.0), density=True)
+    density, edges = np.histogram(sample.ratios, bins=RATIO_BINS, range=(0.0, 1.0), density=True)
     return Histogram(bin_left=edges[:-1], bin_right=edges[1:], density=density)
 
 

@@ -41,14 +41,24 @@ def _digest(*arrays) -> str:
 
 
 def _cases(L: int, seed: int):
-    """``(name, arrays)`` for every driver output at one ``L`` and seed."""
+    """``(name, arrays)`` for every driver output at one ``L`` and seed.
+
+    A sweep's classification case names its label and diagnostic keys, so a
+    changed label shows in the ``diff`` too.
+    """
+    from entdyn.bipartition_markov import markov_report
     from entdyn.experiments import (
+        MBL_W,
         ProtocolSpec,
+        classify_dynamics,
         delta_s_sweep,
+        derive_rng,
         eigenstate_sweep,
         mean_trajectory,
+        pooled_disorder_ratios,
         reservoir_curve,
     )
+    from entdyn.spectral_stats import ratio_histogram
 
     specs = {
         kind: ProtocolSpec(kind=kind)
@@ -61,6 +71,11 @@ def _cases(L: int, seed: int):
     for name, spec in specs.items():
         t = delta_s_sweep(L, spec, T_list=T_LIST, **common, **CIRCUITS)
         yield f"delta_s_sweep {name}", (t.s_initial, t.s_sat, t.stderr_initial, t.stderr_sat)
+        label = classify_dynamics(t)
+        diag = label.diagnostics
+        yield f"classify_dynamics {name} {label.label} {','.join(sorted(diag))}", (
+            [diag[k] for k in sorted(diag)],
+        )
         e = eigenstate_sweep(L, spec, **common, **CIRCUITS)
         yield f"eigenstate_sweep {name}", (
             e.energy, e.s_initial, e.s_sat, e.stderr_initial, e.stderr_sat
@@ -71,6 +86,10 @@ def _cases(L: int, seed: int):
             yield f"mean_trajectory{'+baee' if record_baee else ''} {name}", arrays
     c = reservoir_curve(L, T_list=T_LIST, **common)
     yield "reservoir_curve", (c.hcee, c.baee)
+    r = pooled_disorder_ratios(L, MBL_W, realizations=RUNS, master_seed=seed)
+    yield "pooled_disorder_ratios", (r.ratios, [r.skipped], ratio_histogram(r).density)
+    m = markov_report(L, 20_000, 200, derive_rng(seed, 0, "markov"))
+    yield "markov_report", (m["stationary"], [m["slem"], m["tv_distance"]])
 
 
 def _all_cases():

@@ -266,17 +266,19 @@ def test_hybrid_schedule_shape():
 
 
 def test_hybrid_schedule_integer():
-    times = hybrid_schedule(10.0, 10, 2000.0, 28, integer=True)
+    times = hybrid_schedule(2000.0, integer=True)
     assert times.dtype == np.int64
     assert times[0] == 0 and times[-1] == 2000
     assert np.all(np.diff(times) > 0)
 
 
 def test_hybrid_schedule_validation():
-    with pytest.raises(ParameterError):
-        hybrid_schedule(10.0, 10, 5.0, 28)
-    with pytest.raises(ParameterError):
-        hybrid_schedule(10.0, 0, 100.0, 28)
+    # NaN once gave 28 NaN times, inf infinite ones, and a NaN integer
+    # schedule ended at -2^63
+    for t_max in (5.0, 10.0, np.nan, np.inf):
+        for integer in (False, True):
+            with pytest.raises(ParameterError, match="t_max"):
+                hybrid_schedule(t_max, integer=integer)
 
 
 def test_floquet_matches_expm_oracle(rng):

@@ -431,14 +431,49 @@ RQC = ProtocolSpec(kind="rqc", alpha=2.2, beta=0.8)
         (eigenstate_sweep, {"circuit_samples": 2.5}),
         (mean_trajectory, {"circuit_samples": 0}),
         (mean_trajectory, {"circuit_samples": 2.5}),
+        (mean_trajectory, {"depth": 2.5}),
+        (mean_trajectory, {"depth": -1}),
+        (delta_s_sweep, {"depth": 2.5}),
+        (eigenstate_sweep, {"depth": -1}),
+        (mean_trajectory, {"runs": 0}),
+        (eigenstate_sweep, {"runs": 2.5}),
     ],
     ids=lambda x: getattr(x, "__name__", None) or "-".join(f"{k}={v}" for k, v in x.items()),
 )
-def test_bad_circuit_parameters_are_refused(driver, bad):
-    # a sweep once returned s_sat = [nan] for depth 0 or no circuits
+def test_bad_circuit_parameters_are_refused(driver, bad, monkeypatch):
+    # a sweep once returned s_sat = [nan] for depth 0 or no circuits;
+    # mean_trajectory ran depth = 2.5 as three layers, and refused
+    # circuit_samples = 0 only after run 0's block had been prepared
+    def no_work(*args, **kwargs):
+        raise AssertionError("a run started before the refusal")
+
+    monkeypatch.setattr(experiments, "_prepared_block", no_work)
+    monkeypatch.setattr(experiments, "_decompose_owned", no_work)
     (name, _), = bad.items()
-    with pytest.raises(ParameterError, match=name):
-        driver(6, RQC, runs=1, **bad)
+    for spec in (RQC, ProtocolSpec(kind="thermal")):
+        with pytest.raises(ParameterError, match=name):
+            driver(6, spec, **{"runs": 1, **bad})
+
+
+def test_default_schedule_refuses_a_fractional_depth_or_an_unbounded_end():
+    # depth = 2.5 once gave layers [0, 1, 2, 3], depth = nan a schedule
+    # ending at -2^63, and t_max = nan 28 NaN times
+    for depth in (2.5, np.nan, 0, -3):
+        with pytest.raises(ParameterError, match="depth"):
+            experiments.default_schedule("rqc", depth)
+    for kind in ("thermal", "floquet_mbl"):
+        for t_max in (np.nan, np.inf):
+            with pytest.raises(ParameterError, match="t_max"):
+                experiments.default_schedule(kind, t_max=t_max)
+
+
+def test_severed_two_site_sweep_stays_a_product():
+    # the L = 2 severed chain is diagonal, so no preparation time
+    # entangles the two sites
+    table = delta_s_sweep(
+        2, ProtocolSpec(kind="thermal"), T_list=[0, 1, 4.5, 500], runs=2, prep_local=True
+    )
+    assert np.abs(table.s_initial).max() <= 1e-15
 
 
 def test_circuit_trajectory_may_stop_at_layer_zero():

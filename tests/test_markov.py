@@ -85,7 +85,7 @@ def test_ergodicity_report():
 
 def test_l4_middle_state_has_no_self_loop():
     tm = transition_matrix(4)
-    i = tm.index_of(Bipartition.from_sites(4, (1, 3)))
+    i = tm.states.index(Bipartition.from_sites(4, (1, 3)))
     assert tm.P[i, i] == 0.0
 
 

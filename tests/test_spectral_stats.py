@@ -4,6 +4,7 @@ import scipy.integrate
 
 from entdyn.errors import ParameterError
 from entdyn.spectral_stats import (
+    RATIO_BINS,
     middle_third,
     pool_ratios,
     ratio_histogram,
@@ -97,8 +98,8 @@ def test_reference_means_match_pdfs():
 def test_histogram_density():
     rng = np.random.default_rng(0)
     s = spacing_ratios(np.cumsum(rng.exponential(size=20_000)))
-    h = ratio_histogram(s, bins=25)
-    assert h.bin_left.size == 25
+    h = ratio_histogram(s)
+    assert RATIO_BINS == 25 and h.bin_left.size == RATIO_BINS
     assert h.bin_left[0] == 0.0
     assert h.bin_right[-1] == 1.0
     widths = h.bin_right - h.bin_left
