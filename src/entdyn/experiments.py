@@ -14,9 +14,9 @@ value:
 * ``anderson``        -- XX chain, strong disorder
 * ``rqc``             -- random two-site gate circuits, including SWAP
 
-Each run prepares its states as one block, draws its quench once
-(``_make_engine``) and reads the block out at a list of steps
-(``_QuenchEngine.readings``).  A saturation value is the mean of those
+Every driver runs :func:`_each_run`: each run prepares its states as one
+block, draws its quench once (``_make_engine``) and reads the block out at
+a list of steps (``_QuenchEngine.readings``).  A saturation value is the mean of those
 readings over a window: Hamiltonian protocols read t = 1e12 (free
 fermions instead average t = 201..300, since they never dephase into a
 flat plateau); the Floquet map reads 3e11 periods; generic circuits
@@ -143,8 +143,8 @@ def derive_rng(master_seed: int, run: int, tag: str) -> np.random.Generator:
     The purpose tag is folded in through a CRC so streams stay stable
     across releases and are uncorrelated between purposes.
     """
-    if master_seed < 0 or run < 0:
-        raise ParameterError("master_seed and run must be nonnegative")
+    if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in (master_seed, run)):
+        raise ParameterError(f"master_seed {master_seed!r} and run {run!r} must be integers >= 0")
     key = zlib.crc32(tag.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence((master_seed, run, key)))
 
@@ -393,10 +393,10 @@ def _preflight(basis: SectorBasis, kind: str | None = None, prep=None) -> None:
     for every other driver.  A driver whose only dense step is preparation
     (circuits, the reservoir curve's SWAP sweep among them) passes ``prep =
     (T_arr, prep_W, prep_jz)``; when every run's preparation goes to the
-    Chebyshev route it has no dense step, and nothing is reserved.  The
-    drivers drop each set of eigenvectors (and the engine holding one) as
-    soon as it is used, so no step runs while another step's dim x dim
-    results are still held.
+    Chebyshev route it has no dense step, and nothing is reserved.  No
+    step runs while another step's dim x dim results are still held: a
+    preparation drops its eigenvectors before it returns, and
+    :func:`_each_run` drops each engine before the next run's preparation.
     """
     if kind == "floquet_mbl":
         _require_dense(basis.dim, "Floquet map")
@@ -443,6 +443,23 @@ def _setup(
     return spec, basis
 
 
+def _each_run(basis, spec, runs, master_seed, circuit_samples, depth, prepare, read) -> list:
+    """Every run of a driver: prepare its states, draw its quench, read them.
+
+    ``prepare(run)`` returns the run's ``(dim, m)`` block of states and
+    ``read(engine, block)`` its readings; one entry per run.  The engine,
+    and the quench decomposition it holds, goes before the next run's
+    preparation: the memory rule :func:`_preflight` counts on.
+    """
+    out = []
+    for run in range(runs):
+        block = prepare(run)
+        engine = _make_engine(basis, spec, master_seed, run, circuit_samples, depth)
+        out.append(read(engine, block))
+        del engine
+    return out
+
+
 def mean_trajectory(
     L: int,
     spec: ProtocolSpec,
@@ -483,26 +500,25 @@ def mean_trajectory(
     steps = times
     if kind in ("floquet_mbl", "rqc"):
         steps = _whole_numbers(times, f"the periods or layers of a {kind} schedule")
-    rows_h: list[np.ndarray] = []
-    rows_b: list[np.ndarray] = []
-    for run in range(runs):
+
+    def prepare(run):
         psi0, terms = _preparation(basis, master_seed, run, prep_W, prep_jz, prep_local)
-        init = _prepared_block(terms, psi0, [prep_T])
-        # a circuit runs up to the last scheduled layer
-        engine = _make_engine(basis, spec, master_seed, run, circuit_samples, int(steps.max()))
-        for s_h, s_b in engine.readings(init, steps, record_baee):
-            rows_h.append(s_h[:, 0])
-            if record_baee:
-                rows_b.append(s_b[:, 0])
-        del engine
+        return _prepared_block(terms, psi0, [prep_T])
+
+    # a circuit runs up to the last scheduled layer
+    per_run = _each_run(
+        basis, spec, runs, master_seed, circuit_samples, int(steps.max()), prepare,
+        lambda engine, init: engine.readings(init, steps, record_baee),
+    )
+    rows = [pair for realizations in per_run for pair in realizations]
     return Trajectory(
         times=times,
-        hcee=np.mean(rows_h, axis=0),
-        baee=np.mean(rows_b, axis=0) if record_baee else None,
+        hcee=np.mean([s_h[:, 0] for s_h, _ in rows], axis=0),
+        baee=np.mean([s_b[:, 0] for _, s_b in rows], axis=0) if record_baee else None,
         meta={
             "kind": kind, "L": L, "runs": runs, "master_seed": master_seed,
             "prep_T": prep_T, "prep_W": prep_W, "prep_jz": prep_jz,
-            "prep_local": prep_local, "realizations": len(rows_h),
+            "prep_local": prep_local, "realizations": len(rows),
         },
     )
 
@@ -512,11 +528,10 @@ def mean_trajectory(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class SweepTable:
-    """Disorder-averaged initial and saturation entropies per prep time."""
+@dataclass(eq=False, kw_only=True)
+class _EntropyTable:
+    """Run-averaged initial and saturation entropies with their standard errors."""
 
-    T: np.ndarray
     s_initial: np.ndarray
     s_sat: np.ndarray
     stderr_initial: np.ndarray
@@ -528,14 +543,28 @@ class SweepTable:
     def delta_s(self) -> np.ndarray:
         return self.s_sat - self.s_initial
 
+    @classmethod
+    def _from_runs(cls, rows: list, **columns):
+        """The table of per-run ``(initial, saturation)`` rows and ``columns``."""
+        n = len(rows)
+        for name, values in zip(("initial", "sat"), map(np.array, zip(*rows))):
+            columns[f"s_{name}"] = mean = values.mean(axis=0)
+            columns[f"stderr_{name}"] = (
+                values.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(mean)
+            )
+        return cls(runs=n, **columns)
 
-def _mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = values.mean(axis=0)
-    if values.shape[0] > 1:
-        err = values.std(axis=0, ddof=1) / np.sqrt(values.shape[0])
-    else:
-        err = np.zeros_like(mean)
-    return mean, err
+
+def _sweep_row(engine: _QuenchEngine, block: np.ndarray) -> tuple:
+    """A sweep run's initial half-chain entropies and saturations."""
+    return _half_chain_entropies(engine.basis, block), engine.saturation(block)
+
+
+@dataclass(eq=False, kw_only=True)
+class SweepTable(_EntropyTable):
+    """Disorder-averaged initial and saturation entropies per prep time."""
+
+    T: np.ndarray
 
 
 def delta_s_sweep(
@@ -557,24 +586,14 @@ def delta_s_sweep(
     """
     T_arr = _prep_times(T_list)
     spec, basis = _setup(L, spec, runs, circuit_samples, depth, prep_W, prep_jz, T_arr)
-    s_i = np.empty((runs, T_arr.size))
-    s_s = np.empty((runs, T_arr.size))
-    for run in range(runs):
+
+    def prepare(run):
         psi0, terms = _preparation(basis, master_seed, run, prep_W, prep_jz, prep_local)
-        prepared = _prepared_block(terms, psi0, T_arr)
-        s_i[run] = _half_chain_entropies(basis, prepared)
-        engine = _make_engine(basis, spec, master_seed, run, circuit_samples, depth)
-        s_s[run] = engine.saturation(prepared)
-        del engine
-    mi, ei = _mean_stderr(s_i)
-    ms, es = _mean_stderr(s_s)
-    return SweepTable(
+        return _prepared_block(terms, psi0, T_arr)
+
+    return SweepTable._from_runs(
+        _each_run(basis, spec, runs, master_seed, circuit_samples, depth, prepare, _sweep_row),
         T=T_arr,
-        s_initial=mi,
-        s_sat=ms,
-        stderr_initial=ei,
-        stderr_sat=es,
-        runs=runs,
         meta={
             "kind": spec.kind, "W": spec.W, "jz": spec.jz,
             "alpha": spec.alpha, "beta": spec.beta, "L": L, "master_seed": master_seed,
@@ -584,22 +603,12 @@ def delta_s_sweep(
     )
 
 
-@dataclass(eq=False)
-class EigensweepTable:
+@dataclass(eq=False, kw_only=True)
+class EigensweepTable(_EntropyTable):
     """Initial vs saturation entropy for eigenstate initial conditions."""
 
     rank: np.ndarray
     energy: np.ndarray
-    s_initial: np.ndarray
-    s_sat: np.ndarray
-    stderr_initial: np.ndarray
-    stderr_sat: np.ndarray
-    runs: int
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def delta_s(self) -> np.ndarray:
-        return self.s_sat - self.s_initial
 
 
 def eigenstate_sweep(
@@ -625,30 +634,21 @@ def eigenstate_sweep(
     )
     if rank_arr.size == 0 or rank_arr.min() < 1 or rank_arr.max() > basis.dim:
         raise ParameterError(f"ranks must lie in 1..{basis.dim}")
-    s_i = np.empty((runs, rank_arr.size))
-    s_s = np.empty((runs, rank_arr.size))
-    en = np.empty((runs, rank_arr.size))
-    for run in range(runs):
+    energies = []
+
+    def prepare(run):
         _, terms = _preparation(basis, master_seed, run, prep_W, prep_jz)
         decomp = _decompose_owned(_build_chain(basis, terms))
+        energies.append(decomp.values[rank_arr - 1])
         states = decomp.vectors[:, rank_arr - 1].astype(np.complex128, order="C")
-        en[run] = decomp.values[rank_arr - 1]
-        del decomp
-        states /= np.linalg.norm(states, axis=0)
-        s_i[run] = _half_chain_entropies(basis, states)
-        engine = _make_engine(basis, spec, master_seed, run, circuit_samples, depth)
-        s_s[run] = engine.saturation(states)
-        del engine
-    mi, ei = _mean_stderr(s_i)
-    ms, es = _mean_stderr(s_s)
-    return EigensweepTable(
+        return states / np.linalg.norm(states, axis=0)
+
+    # the runs fill ``energies``, so they come before the table
+    rows = _each_run(basis, spec, runs, master_seed, circuit_samples, depth, prepare, _sweep_row)
+    return EigensweepTable._from_runs(
+        rows,
         rank=rank_arr,
-        energy=en.mean(axis=0),
-        s_initial=mi,
-        s_sat=ms,
-        stderr_initial=ei,
-        stderr_sat=es,
-        runs=runs,
+        energy=np.mean(energies, axis=0),
         meta={
             "kind": spec.kind, "L": L, "master_seed": master_seed,
             "prep_W": prep_W, "prep_jz": prep_jz,
@@ -793,8 +793,7 @@ def pooled_disorder_ratios(
     master_seed: int = 0,
 ) -> RatioSample:
     """Middle-third gap ratios pooled over disorder realizations."""
-    if realizations < 1:
-        raise ParameterError(f"realizations must be positive, got {realizations}")
+    _check_count("realizations", realizations)
     basis = enumerate_sector(L, 0)
     samples = []
     for i in range(realizations):

@@ -84,6 +84,12 @@ def _cases(L: int, seed: int):
             tr = mean_trajectory(L, spec, record_baee=record_baee, **common, **CIRCUITS)
             arrays = (tr.times, tr.hcee) + ((tr.baee,) if record_baee else ())
             yield f"mean_trajectory{'+baee' if record_baee else ''} {name}", arrays
+    for name in ("thermal", "rqc"):
+        local = {"prep_local": True, **common, **CIRCUITS}
+        t = delta_s_sweep(L, specs[name], T_list=T_LIST, **local)
+        yield f"delta_s_sweep+local {name}", (t.s_initial, t.s_sat, t.stderr_initial, t.stderr_sat)
+        tr = mean_trajectory(L, specs[name], **local)
+        yield f"mean_trajectory+local {name}", (tr.times, tr.hcee)
     c = reservoir_curve(L, T_list=T_LIST, **common)
     yield "reservoir_curve", (c.hcee, c.baee)
     r = pooled_disorder_ratios(L, MBL_W, realizations=RUNS, master_seed=seed)

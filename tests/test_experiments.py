@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +94,23 @@ def test_derive_rng_streams_are_stable_and_distinct():
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
     assert not np.array_equal(a, e)
+
+
+def test_fractional_seeds_and_realization_counts_are_refused():
+    # the fractional ones raised a bare TypeError, from range or SeedSequence
+    calls = [
+        ("realizations", lambda: pooled_disorder_ratios(6, 5.0, realizations=2.5)),
+        ("realizations", lambda: pooled_disorder_ratios(6, 5.0, realizations="3")),
+        ("master_seed", lambda: pooled_disorder_ratios(6, 5.0, master_seed=1.5)),
+        ("run", lambda: derive_rng(0, 1.0, "psi0")),
+        ("master_seed", lambda: derive_rng(-1, 0, "psi0")),
+    ]
+    for name, call in calls:
+        with pytest.raises(ParameterError, match=name):
+            call()
+    # numpy integers are whole numbers, and draw the same stream
+    a = derive_rng(np.int64(3), np.int32(2), "psi0").integers(0, 2**31, size=4)
+    assert np.array_equal(a, derive_rng(3, 2, "psi0").integers(0, 2**31, size=4))
 
 
 def test_protocol_defaults():
@@ -437,13 +456,17 @@ RQC = ProtocolSpec(kind="rqc", alpha=2.2, beta=0.8)
         (eigenstate_sweep, {"depth": -1}),
         (mean_trajectory, {"runs": 0}),
         (eigenstate_sweep, {"runs": 2.5}),
+        (delta_s_sweep, {"master_seed": 1.5}),
+        (delta_s_sweep, {"master_seed": np.float64(2.0)}),
+        (mean_trajectory, {"master_seed": 1.5}),
     ],
     ids=lambda x: getattr(x, "__name__", None) or "-".join(f"{k}={v}" for k, v in x.items()),
 )
 def test_bad_circuit_parameters_are_refused(driver, bad, monkeypatch):
     # a sweep once returned s_sat = [nan] for depth 0 or no circuits;
     # mean_trajectory ran depth = 2.5 as three layers, and refused
-    # circuit_samples = 0 only after run 0's block had been prepared
+    # circuit_samples = 0 only after run 0's block had been prepared; a
+    # fractional master_seed raised a bare TypeError
     def no_work(*args, **kwargs):
         raise AssertionError("a run started before the refusal")
 
@@ -453,6 +476,39 @@ def test_bad_circuit_parameters_are_refused(driver, bad, monkeypatch):
     for spec in (RQC, ProtocolSpec(kind="thermal")):
         with pytest.raises(ParameterError, match=name):
             driver(6, spec, **{"runs": 1, **bad})
+
+
+def test_runs_free_each_decomposition_before_the_next_starts(monkeypatch):
+    # the memory rule _preflight counts on: no dense step starts while an
+    # earlier one's eigenvectors are alive; gc is off, so only dropping the
+    # last reference frees one
+    decompose = experiments._decompose_owned
+    held: list = []
+    alive_at_start: list = []
+
+    def spy(op):
+        alive_at_start.append(sum(ref() is not None for ref in held))
+        decomp = decompose(op)
+        held.append(weakref.ref(decomp))
+        return decomp
+
+    monkeypatch.setattr(experiments, "_decompose_owned", spy)
+    thermal = ProtocolSpec(kind="thermal")
+    calls = [
+        lambda: delta_s_sweep(8, thermal, T_list=[0.5, 500.0], runs=3),
+        lambda: eigenstate_sweep(8, thermal, runs=3),
+        lambda: mean_trajectory(8, thermal, runs=3),
+    ]
+    gc.disable()
+    try:
+        for call in calls:
+            held.clear()
+            alive_at_start.clear()
+            call()
+            # a preparation and a quench per run
+            assert alive_at_start == [0] * 6
+    finally:
+        gc.enable()
 
 
 def test_default_schedule_refuses_a_fractional_depth_or_an_unbounded_end():
