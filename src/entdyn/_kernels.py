@@ -1,8 +1,8 @@
 """Loop-bound kernels in plain numpy.
 
 Only the work that does not map onto dense linear algebra lives here:
-basis enumeration, subset bit packing, the flip-flop mixing of a two-site
-gate and the bipartition random walk.
+basis enumeration, the flip-flop mixing of a two-site gate and the
+bipartition random walk.
 """
 
 from __future__ import annotations
@@ -14,18 +14,6 @@ def sector_words(L: int, n_up: int) -> np.ndarray:
     """All ``L``-bit words with ``n_up`` set bits, ascending (int64)."""
     words = np.arange(1 << L, dtype=np.int64)
     return words[np.bitwise_count(words) == n_up]
-
-
-def pack_bits(words: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Gather the bits of each word at ``positions`` into a compact word.
-
-    Bit ``j`` of the result is bit ``positions[j]`` of the input word.
-    """
-    positions = np.asarray(positions, dtype=np.int64)
-    out = np.zeros_like(words)
-    for j in range(positions.size):
-        out |= ((words >> positions[j]) & np.int64(1)) << np.int64(j)
-    return out
 
 
 def gate_mix(amps: np.ndarray, ud: np.ndarray, du: np.ndarray, mix: np.ndarray) -> None:

@@ -8,17 +8,19 @@ word inside the sector is its position in that sorted list.
 
 ``subsystem_split`` decomposes the sector along an arbitrary site subset A:
 because total magnetization is fixed, the coefficient matrix between A and
-its complement is block diagonal, one block per A-side up count.  The split
-records, for every sector ordinal, its flat position in that block layout.
-The map is a bijection onto ``range(dim)``: a permutation, never a
-projection.
+its complement is block diagonal, one block per A-side up count.  Block k
+holds the A-side codes with k up spins (rows) against the B-side codes
+with ``n_up - k`` (columns), ascending and row-major, a code packing a
+side's bits in site order.  So a slot holds the same two codes in every
+subset of a size, and ``_slot_rows`` builds each subset's slot row, the
+sector ordinal at every slot, from them.  The split's ``positions``
+invert that row: a permutation of ``range(dim)``, never a projection.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,10 +28,6 @@ from . import _kernels
 from .errors import CapacityError, ParameterError, StateNotInSector
 
 _MAX_L = 20
-
-
-def popcount(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words).astype(np.int64)
 
 
 @dataclass(eq=False)
@@ -55,13 +53,6 @@ class SectorBasis:
             )
         return pos
 
-    def index_many(self, words: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`index_of`."""
-        pos = np.searchsorted(self.states, words)
-        if (pos >= self.dim).any() or not np.array_equal(self.states[pos], words):
-            raise StateNotInSector("some words are not in the sector")
-        return pos.astype(np.int64)
-
     def bitstring(self, word: int) -> str:
         """Site-1-first occupation string, '1' for up."""
         return "".join("1" if (int(word) >> i) & 1 else "0" for i in range(self.L))
@@ -84,18 +75,6 @@ def enumerate_sector(L: int, sz_total: float) -> SectorBasis:
         )
     words = _kernels.sector_words(L, n_up)
     return SectorBasis(L=L, sz_total=float(sz_total), n_up=n_up, states=words)
-
-
-@lru_cache(maxsize=None)
-def _rank_table(n: int) -> np.ndarray:
-    """rank[w] = position of w among equal-popcount n-bit words, ascending."""
-    vals = np.arange(1 << n, dtype=np.int64)
-    pc = popcount(vals)
-    rank = np.empty(vals.size, dtype=np.int64)
-    for k in range(n + 1):
-        sel = np.flatnonzero(pc == k)
-        rank[sel] = np.arange(sel.size, dtype=np.int64)
-    return rank
 
 
 def _whole_numbers(values, what: str) -> np.ndarray:
@@ -141,7 +120,7 @@ class SubsystemSplit:
 
 
 def _split_geometry(basis: SectorBasis, nA: int):
-    """Shared block shapes/offsets for any size-nA subset (cached)."""
+    """Shared ``(ks, shapes, offsets)`` of the blocks of any size-nA subset (cached)."""
     key = ("geometry", nA)
     if key in basis._cache:
         return basis._cache[key]
@@ -155,51 +134,89 @@ def _split_geometry(basis: SectorBasis, nA: int):
     )
     sizes = shapes[:, 0] * shapes[:, 1]
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.int64)
-    # lookup tables indexed directly by the A-side up count
-    off_by_k = np.full(nA + 1, -1, dtype=np.int64)
-    cols_by_k = np.full(nA + 1, -1, dtype=np.int64)
-    off_by_k[ks] = offsets
-    cols_by_k[ks] = shapes[:, 1]
-    geo = (ks, shapes, offsets, off_by_k, cols_by_k)
+    geo = (ks, shapes, offsets)
     basis._cache[key] = geo
     return geo
 
 
-def _subset_positions(basis: SectorBasis, sites: tuple[int, ...]) -> np.ndarray:
-    """Flat block-layout position of every sector ordinal for subset A."""
-    posA = np.array([s - 1 for s in sites], dtype=np.int64)
-    in_a = np.zeros(basis.L, dtype=bool)
-    in_a[posA] = True
-    posB = np.flatnonzero(~in_a).astype(np.int64)
-    nA = posA.size
-    a = _kernels.pack_bits(basis.states, posA)
-    b = _kernels.pack_bits(basis.states, posB)
-    ka = popcount(a)
-    _, _, _, off_by_k, cols_by_k = _split_geometry(basis, nA)
-    rank_a = _rank_table(nA)
-    rank_b = _rank_table(basis.L - nA)
-    return off_by_k[ka] + rank_a[a] * cols_by_k[ka] + rank_b[b]
+def _ordinals(basis: SectorBasis) -> np.ndarray:
+    """Sector ordinal of every L-bit word, indexed by the word (cached)."""
+    if "ordinal" not in basis._cache:
+        ordinal = np.zeros(1 << basis.L, dtype=np.int32)
+        ordinal[basis.states] = np.arange(basis.dim, dtype=np.int32)
+        basis._cache["ordinal"] = ordinal
+    return basis._cache["ordinal"]
+
+
+def _slot_codes(basis: SectorBasis, nA: int):
+    """``(code_a, code_b)``: the A- and B-side codes at every slot of the
+    size-nA block layout (cached)."""
+    key = ("codes", nA)
+    if key not in basis._cache:
+        ks = _split_geometry(basis, nA)[0].tolist()
+        nB, n_up = basis.L - nA, basis.n_up
+        pairs = [(_kernels.sector_words(nA, k), _kernels.sector_words(nB, n_up - k)) for k in ks]
+        code_a = np.concatenate([np.repeat(a, b.size) for a, b in pairs]).astype(np.int32)
+        code_b = np.concatenate([np.tile(b, a.size) for a, b in pairs]).astype(np.int32)
+        basis._cache[key] = (code_a, code_b)
+    return basis._cache[key]
+
+
+def _deposit(sites: np.ndarray) -> np.ndarray:
+    """``dep[i, code]``: the word with the bits of ``code`` at ``sites[i]``.
+
+    ``sites`` is ``(c, n)``, 1-based and ascending along each row; bit ``j``
+    of a code goes to site ``sites[i, j]``.
+    """
+    weights = 1 << (sites - 1)
+    dep = np.zeros((sites.shape[0], 1), dtype=np.int32)
+    for j in range(sites.shape[1]):  # codes with bit j set follow those without
+        dep = np.concatenate([dep, dep | weights[:, j, None]], axis=1)
+    return dep
+
+
+def _slot_rows(basis: SectorBasis, sites_a: np.ndarray, sites_b: np.ndarray) -> np.ndarray:
+    """Sector ordinal at every block-layout slot of each of c subsets.
+
+    ``sites_a`` ``(c, nA)`` holds each subset's sites and ``sites_b`` its
+    complement's, 1-based and ascending; row ``i`` of the ``(c, dim)``
+    result lays a state out in the blocks of subset ``i`` as
+    ``amps[row]``.  The one builder of slot rows: the half chain, every
+    bipartition chunk and ``subsystem_split`` use it.
+    """
+    code_a, code_b = _slot_codes(basis, sites_a.shape[1])
+    return _ordinals(basis)[_deposit(sites_a)[:, code_a] | _deposit(sites_b)[:, code_b]]
+
+
+def _subset_row(basis: SectorBasis, subset):
+    """``(sites, row)``: a subset's validated sites and its slot row (cached)."""
+    sites = _validate_subset(basis.L, subset)
+    key = ("row", sites)
+    if key not in basis._cache:
+        rest = [s for s in range(1, basis.L + 1) if s not in sites]
+        a, b = (np.array([part], dtype=np.int32) for part in (sites, rest))
+        basis._cache[key] = _slot_rows(basis, a, b)[0]
+    return sites, basis._cache[key]
 
 
 def subsystem_split(basis: SectorBasis, subset) -> SubsystemSplit:
     """Decompose the sector along subset A (1-based sites).
 
-    The positions are cached per basis; the split itself is not, because
+    The slot row is cached per basis; the split itself is not, because
     it refers to the basis, and a basis whose cache refers back to it
     lives until a full garbage collection.
     """
-    sites = _validate_subset(basis.L, subset)
-    key = ("split", sites)
-    if key not in basis._cache:
-        basis._cache[key] = _subset_positions(basis, sites)
-    ks, shapes, offsets, _, _ = _split_geometry(basis, len(sites))
+    sites, row = _subset_row(basis, subset)
+    positions = np.empty(basis.dim, dtype=np.int64)
+    positions[row] = np.arange(basis.dim)
+    ks, shapes, offsets = _split_geometry(basis, len(sites))
     return SubsystemSplit(
         basis=basis,
         subset=sites,
         block_nup=ks.copy(),
         block_shape=shapes.copy(),
         block_offset=offsets.copy(),
-        positions=basis._cache[key],
+        positions=positions,
     )
 
 
@@ -220,7 +237,7 @@ def bond_groups(basis: SectorBasis, bond: int):
     w = basis.states
     ud = np.flatnonzero(((w >> bi) & 1 == 1) & ((w >> bj) & 1 == 0)).astype(np.int64)
     mask = np.int64((1 << bi) | (1 << bj))
-    du = basis.index_many(w[ud] ^ mask)
+    du = _ordinals(basis)[w[ud] ^ mask].astype(np.int64)
     groups = (ud, du)
     basis._cache[key] = groups
     return groups

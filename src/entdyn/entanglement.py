@@ -6,15 +6,15 @@ block diagonal over the A-side up count, and each block's nonzero
 spectrum is that of the Gram matrix of the smaller side of the
 coefficient block.
 
-Every entropy goes through one kernel, ``_entropies_of_scattered``.  A
-caller lays the amplitudes of many states (rows) out in the block layout
-of ``subsystem_split``, by scatter or by gather; the kernel forms each
-block's Gram matrices for all rows at once, gathers the eigenvalues,
-checks that each row's spectral weight is one, and applies the clip
-policy.  Three callers feed it: ``subset_entropy`` (one state, any
-subset), ``_half_chain_entropies`` (a block of states, the half chain) and
-``_bipartition_entropies`` (a block of states, every canonical
-bipartition, gathered by small deposit tables on a thread pool);
+Every entropy goes through one kernel, ``_layout_entropies``.  A caller
+gathers the amplitudes of many states (rows) into the block layout of a
+subset through the subset's slot row (``basis._slot_rows`` builds every
+row); the kernel forms each block's Gram matrices for all rows at once,
+gathers the eigenvalues, checks that each row's spectral weight is one,
+and applies the clip policy.  Three callers feed it: ``subset_entropy``
+(one state, any subset), ``_half_chain_entropies`` (a block of states,
+the half chain) and ``_bipartition_entropies`` (a block of states, every
+canonical bipartition, rows built per chunk on a thread pool);
 ``bipartition_entropies`` and ``baee`` are its one-column calls.  Two
 aggregate quantities drive the experiments:
 
@@ -35,7 +35,7 @@ from math import comb, fsum, log
 
 import numpy as np
 
-from .basis import SectorBasis, _split_geometry, _whole_numbers, subsystem_split
+from .basis import SectorBasis, _slot_rows, _split_geometry, _subset_row, _whole_numbers
 from .errors import NumericError, ParameterError
 from .state import _NORM_TOL, SectorState
 
@@ -68,10 +68,12 @@ class Bipartition:
     sites: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.sites) != self.L // 2 or self.sites[0] != 1:
+        s = tuple(self.sites)
+        ascending = list(s) == sorted(set(s))
+        if len(s) != self.L // 2 or s[:1] != (1,) or s[-1] > self.L or not ascending:
             raise ParameterError(
-                f"canonical bipartition of L={self.L} must hold L/2 sites "
-                f"including site 1, got {self.sites}"
+                f"canonical bipartition of L={self.L} must hold L/2 ascending "
+                f"sites in 1..{self.L} including site 1, got {s}"
             )
 
     @property
@@ -122,14 +124,14 @@ def enumerate_bipartitions(L: int) -> tuple[Bipartition, ...]:
     return tuple(bips)
 
 
-def _entropies_of_scattered(basis: SectorBasis, buf: np.ndarray, nA: int) -> np.ndarray:
+def _layout_entropies(basis: SectorBasis, buf: np.ndarray, nA: int) -> np.ndarray:
     """Entropy of every row of ``buf``, laid out in the size-``nA`` block order.
 
     The one spectral kernel: it forms each block's Gram matrix for all rows
     at once, gathers every row's block eigenvalues into one ``(m, n)``
     array, and applies the trace check and the clip policy once per call.
     """
-    _, shapes, offsets, _, _ = _split_geometry(basis, nA)
+    _, shapes, offsets = _split_geometry(basis, nA)
     m = buf.shape[0]
     parts = []
     for (r, c), o in zip(shapes.tolist(), offsets.tolist()):
@@ -149,10 +151,9 @@ def _entropies_of_scattered(basis: SectorBasis, buf: np.ndarray, nA: int) -> np.
 
 def _subset_entropies(basis: SectorBasis, subset, block: np.ndarray) -> np.ndarray:
     """Entropy of ``subset`` for every unit column of a ``(dim, m)`` block."""
-    split = subsystem_split(basis, subset)
-    buf = np.zeros((block.shape[1], basis.dim), dtype=np.complex128)
-    buf[:, split.positions] = block.T
-    return _entropies_of_scattered(basis, buf, len(split.subset))
+    sites, row = _subset_row(basis, subset)
+    buf = np.asarray(block, dtype=np.complex128)[row].T
+    return _layout_entropies(basis, buf, len(sites))
 
 
 def subset_entropy(state: SectorState, subset) -> float:
@@ -181,36 +182,6 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _half_codes(basis: SectorBasis):
-    """``(code_a, code_b, ordinal)``, cached: the left- and right-half bits of
-    the word at each half-chain slot, and the sector ordinal of every word."""
-    if "half_codes" not in basis._cache:
-        half = basis.L // 2
-        words = np.empty_like(basis.states)
-        words[subsystem_split(basis, range(1, half + 1)).positions] = basis.states
-        ordinal = np.zeros(1 << basis.L, dtype=np.int32)
-        ordinal[basis.states] = np.arange(basis.dim, dtype=np.int32)
-        basis._cache["half_codes"] = (words & ((1 << half) - 1), words >> half, ordinal)
-    return basis._cache["half_codes"]
-
-
-def _bipartition_slots(basis: SectorBasis, start: int, stop: int) -> np.ndarray:
-    """Sector ordinal at every block-layout slot, for bipartitions[start:stop].
-
-    Row ``i`` inverts the positions of bipartition ``start + i``, so
-    ``amps[rows]`` lays one state out in the blocks of every bipartition.
-    A slot holds the same two half codes in every equal split, so a row
-    deposits the half chain's codes at the sites of its bipartition.
-    """
-    code_a, code_b, ordinal = _half_codes(basis)
-    half = basis.L // 2
-    bits = (np.arange(1 << half, dtype=np.int32) >> np.arange(half, dtype=np.int32)[:, None]) & 1
-    cuts = enumerate_bipartitions(basis.L)[start:stop]
-    dep_a = (1 << (np.array([bp.sites for bp in cuts], dtype=np.int32) - 1)) @ bits
-    dep_b = (1 << (np.array([bp.complement for bp in cuts], dtype=np.int32) - 1)) @ bits
-    return ordinal[dep_a[:, code_a] | dep_b[:, code_b]]
-
-
 def _bipartition_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
     """Entropy of every canonical bipartition of every unit column of a block.
 
@@ -225,8 +196,11 @@ def _bipartition_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
     of workers or states.  Workers only read the basis cache.
     """
     half = basis.L // 2
-    n = len(enumerate_bipartitions(basis.L))
-    _half_codes(basis)  # and the block geometry, cached here for the workers
+    cuts = enumerate_bipartitions(basis.L)
+    n = len(cuts)
+    sites_a = np.array([bp.sites for bp in cuts], dtype=np.int32)
+    sites_b = np.array([bp.complement for bp in cuts], dtype=np.int32)
+    _subset_row(basis, cuts[0].sites)  # fills every table the workers read
     amps = np.ascontiguousarray(block.T, dtype=np.complex128)
     m = amps.shape[0]
     c = max(1, _CHUNK_ROWS // m)
@@ -234,9 +208,9 @@ def _bipartition_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
 
     def chunk(start: int) -> None:
         stop = min(start + c, n)
-        rows = _bipartition_slots(basis, start, stop)
+        rows = _slot_rows(basis, sites_a[start:stop], sites_b[start:stop])
         buf = np.take(amps, rows, axis=1).reshape(m * (stop - start), basis.dim)
-        ent = _entropies_of_scattered(basis, buf, half)
+        ent = _layout_entropies(basis, buf, half)
         out[:, start:stop] = ent.reshape(m, stop - start)
 
     starts = range(0, n, c)

@@ -98,8 +98,33 @@ def _cases(L: int, seed: int):
     yield "markov_report", (m["stationary"], [m["slem"], m["tv_distance"]])
 
 
+def _layout_cases():
+    """``(name, arrays)`` of the block layout of every subset, L = 2..10.
+
+    One case per chain length, sector (``sz_total`` 0 and +-1) and subset
+    size: the ``subsystem_split`` positions of every subset of that size,
+    then each subset's ``subset_entropy`` of one random state.
+    """
+    from itertools import combinations
+
+    from entdyn.basis import enumerate_sector, subsystem_split
+    from entdyn.entanglement import subset_entropy
+    from entdyn.state import random_sector_state
+
+    for L in range(2, 11, 2):
+        for sz in (0, 1, -1):
+            basis = enumerate_sector(L, sz)
+            state = random_sector_state(basis, np.random.default_rng(L))
+            for nA in range(1, L):
+                subsets = list(combinations(range(1, L + 1), nA))
+                positions = [subsystem_split(basis, sub).positions for sub in subsets]
+                entropies = [subset_entropy(state, sub) for sub in subsets]
+                yield f"L={L} sz={sz} nA={nA} layout", (np.concatenate(positions), entropies)
+
+
 def _all_cases():
-    """``(case, arrays)`` for L = 8 and 10 at two seeds, then two larger cases.
+    """``(case, arrays)`` for L = 8 and 10 at two seeds, then two larger cases,
+    then the block layouts of every subset up to L = 10.
 
     The larger ones are the multi-run reservoir curve at L = 12, whose
     bipartition entropies run in many chunks, and one 3-state block of
@@ -120,6 +145,7 @@ def _all_cases():
     yield "L=14 _bipartition_entropies", (
         _bipartition_entropies(basis, z / np.linalg.norm(z, axis=0)),
     )
+    yield from _layout_cases()
 
 
 def _compare(a_path: str, b_path: str) -> None:

@@ -111,6 +111,28 @@ def oracle_subset_entropy(state: SectorState, subset) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def oracle_slot_row(basis: SectorBasis, subset) -> list[int]:
+    """Sector ordinals in the block layout of ``subset``, by plain sorting.
+
+    A word sorts by its A-side up count, then by its A bits packed in site
+    order, then by its B bits packed the same way: blocks by up count, rows
+    by A code and columns by B code, row-major.
+    """
+    sites = sorted(int(s) for s in subset)
+    rest = [s for s in range(1, basis.L + 1) if s not in sites]
+
+    def pack(word: int, where: list[int]) -> int:
+        return sum(((word >> (s - 1)) & 1) << j for j, s in enumerate(where))
+
+    def key(n: int):
+        word = words[n]
+        a = pack(word, sites)
+        return (bin(a).count("1"), a, pack(word, rest))
+
+    words = [int(w) for w in basis.states]
+    return sorted(range(len(words)), key=key)
+
+
 def oracle_baee(state: SectorState) -> float:
     cuts = enumerate_bipartitions(state.basis.L)
     return float(np.mean([oracle_subset_entropy(state, bp.sites) for bp in cuts]))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from entdyn import entanglement
-from entdyn.basis import _subset_positions, enumerate_sector
+from entdyn.basis import _slot_rows, enumerate_sector, subsystem_split
 from entdyn.entanglement import (
     Bipartition,
     baee,
@@ -23,7 +23,13 @@ from entdyn.entanglement import (
 from entdyn.errors import NumericError, ParameterError
 from entdyn.state import SectorState, random_sector_state
 
-from oracles import haar_sector_average, oracle_baee, oracle_subset_entropy, run_one_thread
+from oracles import (
+    haar_sector_average,
+    oracle_baee,
+    oracle_slot_row,
+    oracle_subset_entropy,
+    run_one_thread,
+)
 
 
 def test_bipartition_canonical_contains_site_one():
@@ -53,6 +59,12 @@ def test_bipartition_refuses_fractional_sites_and_stray_mask_bits():
         Bipartition.from_sites(4, [2.7, 3])
     with pytest.raises(ParameterError, match="outside sites"):
         Bipartition.from_mask(4, 0b10011)
+    # the slot rows deposit codes at the sites in order, so the constructor
+    # takes only strictly increasing sites in 1..L
+    for L, sites in [(4, (1, 1)), (4, (1, 9)), (6, (1, 3, 2)), (4, (1, 0)), (6, (1, 2, 2))]:
+        with pytest.raises(ParameterError, match="ascending"):
+            Bipartition(L=L, sites=sites)
+    assert Bipartition(L=6, sites=(1, 2, 6)).mask == 0b100011
 
 
 def test_enumerate_bipartitions_counts():
@@ -228,16 +240,47 @@ for L, states in _POOL_CASES:
     assert lines == ["True"] * len(_POOL_CASES)
 
 
-def test_rows_invert_subset_positions():
-    # every row lays a state out as the scatter through _subset_positions does
+def _both_sides(L, subsets):
+    rest = [[s for s in range(1, L + 1) if s not in sub] for sub in subsets]
+    return np.array(subsets, dtype=np.int32), np.array(rest, dtype=np.int32)
+
+
+def test_slot_rows_match_the_sorting_oracle():
+    # every bipartition up to L = 12 and every 97th at L = 14 and 16, built
+    # several to a call as the bipartition chunks build them
     for L in range(2, 17, 2):
         basis = enumerate_sector(L, 0)
         cuts = enumerate_bipartitions(L)
         step = 1 if L <= 12 else 97
-        for i in [*range(0, len(cuts), step), len(cuts) - 1]:
-            want = np.empty(basis.dim, dtype=np.int64)
-            want[_subset_positions(basis, cuts[i].sites)] = np.arange(basis.dim)
-            assert np.array_equal(entanglement._bipartition_slots(basis, i, i + 1)[0], want)
+        picked = [*range(0, len(cuts), step), len(cuts) - 1]
+        for lo in range(0, len(picked), 5):
+            chosen = [cuts[i].sites for i in picked[lo : lo + 5]]
+            rows = _slot_rows(basis, *_both_sides(L, chosen))
+            for sites, row in zip(chosen, rows):
+                assert row.tolist() == oracle_slot_row(basis, sites), (L, sites)
+    # unequal subsets, in the zero sector and off it
+    for basis in (enumerate_sector(8, 0), enumerate_sector(8, 1), enumerate_sector(6, -1)):
+        L = basis.L
+        for nA in range(1, L):
+            for sites in list(itertools.combinations(range(1, L + 1), nA))[::3]:
+                want = oracle_slot_row(basis, sites)
+                assert _slot_rows(basis, *_both_sides(L, [sites]))[0].tolist() == want
+                positions = subsystem_split(basis, sites).positions
+                assert positions.dtype == np.int64
+                assert np.argsort(positions).tolist() == want, (L, basis.n_up, sites)
+
+
+def test_subsystem_split_builds_its_tables_bit_by_bit():
+    # the deposit table of a 15-site side is built one code bit at a time;
+    # a (15, 2**15) bit matrix peaked at 4.2 MiB, the doubling loop at 0.7 MiB
+    basis = enumerate_sector(16, 0)
+    tracemalloc.start()
+    try:
+        subsystem_split(basis, (1,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_bipartition_entropies_keep_no_dense_table(monkeypatch):

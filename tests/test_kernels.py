@@ -22,14 +22,6 @@ def test_sector_words_matches_combinations():
         assert words.tolist() == expected
 
 
-def test_pack_bits_small():
-    words = np.array([0b1011, 0b0100], dtype=np.int64)
-    positions = np.array([2, 0], dtype=np.int64)
-    out = _kernels.pack_bits(words, positions)
-    # word 0b1011: bit2=0 -> out bit0, bit0=1 -> out bit1 => 0b10
-    assert out.tolist() == [0b10, 0b01]
-
-
 def _circuit(amps, gate, basis, bonds):
     for _ in _apply_circuit(amps, gate, basis, bonds, []):
         pass
