@@ -14,6 +14,7 @@ either side) make it aperiodic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import CapacityError, NumericError, ParameterError
 
 _MAX_DENSE_L = 14
 _STATIONARY_TOL = 1e-12
+_WALK_CHUNK = 1 << 16  # bonds drawn and walked at a time
 
 
 def swap_action(bp: Bipartition, bond: int) -> Bipartition:
@@ -51,13 +53,16 @@ class TransitionMatrix:
         return len(self.states)
 
 
+@lru_cache(maxsize=1)
 def _successor_table(L: int) -> tuple[tuple[Bipartition, ...], np.ndarray]:
+    """The canonical bipartitions and their read-only successor table."""
     states = enumerate_bipartitions(L)
     index = {bp.mask: i for i, bp in enumerate(states)}
     table = np.empty((len(states), L - 1), dtype=np.int64)
     for i, bp in enumerate(states):
         for b in range(1, L):
             table[i, b - 1] = index[swap_action(bp, b).mask]
+    table.flags.writeable = False
     return states, table
 
 
@@ -92,6 +97,8 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ParameterError(f"P must be square, got shape {P.shape}")
+    if not np.isfinite(P).all():
+        raise ParameterError("P must be finite")
     n = P.shape[0]
     A = P.T - np.eye(n)
     A[-1, :] = 1.0
@@ -102,7 +109,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"stationary solve failed: {exc}")
     residual = float(np.abs(pi @ P - pi).max())
-    if residual > _STATIONARY_TOL:
+    if not residual <= _STATIONARY_TOL:
         raise NumericError(f"stationary residual {residual:.3e} exceeds {_STATIONARY_TOL:.3e}")
     return pi / pi.sum()
 
@@ -172,14 +179,19 @@ def monte_carlo_occupation(
     The walk starts from the half-chain bipartition.  ``burn_in``
     transitions are discarded, the remaining ``steps - burn_in`` visited
     states are tallied, and ``tv_distance`` is the total-variation gap to
-    uniform.
+    uniform.  Bonds are drawn and walked ``_WALK_CHUNK`` at a time, so
+    memory stays flat in ``steps``; the draws are the same stream as one
+    call for all of them.
     """
     if burn_in < 0 or steps <= burn_in:
         raise ParameterError("need steps > burn_in >= 0")
     states, table = _successor_table(L)
     s0 = [bp.mask for bp in states].index(Bipartition.half_chain(L).mask)
-    bonds = rng.integers(0, L - 1, size=steps)
-    _, counts = _kernels.swap_walk(table, s0, bonds, burn_in)
+    s, counts = s0, np.zeros(len(states), dtype=np.int64)
+    for start in range(0, steps, _WALK_CHUNK):
+        bonds = rng.integers(0, L - 1, size=min(_WALK_CHUNK, steps - start))
+        s, tally = _kernels.swap_walk(table, s, bonds, max(burn_in - start, 0))
+        counts += tally
     freq = counts / float(steps - burn_in)
     tv = 0.5 * float(np.abs(freq - 1.0 / len(states)).sum())
     return OccupationResult(counts=counts, tv_distance=tv)

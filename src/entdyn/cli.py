@@ -16,7 +16,6 @@ import time
 from functools import partial
 from pathlib import Path
 
-from . import __version__
 from .basis import enumerate_sector
 from .bipartition_markov import markov_report
 from .config import (
@@ -38,7 +37,7 @@ from .experiments import (
     pooled_disorder_ratios,
     reservoir_curve,
 )
-from .io import RunRecord, write_results
+from .io import write_results
 from .spectral_stats import ratio_histogram, reference_curves
 
 _MIDDLE_THIRD_NOTE = "start floor(dim/3), length floor(dim/3)"
@@ -50,17 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Entanglement dynamics of disordered spin-1/2 chains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "basis": "enumerate the half-filling sector and dump it as CSV",
-        "evolve": "run-averaged entropy trajectory of a Hamiltonian or Floquet protocol",
-        "rqc": "run-averaged entropy trajectory of a random circuit",
-        "sweep": "initial vs saturation entropy across preparation times, classified",
-        "reservoir": "BAEE - HCEE excess curve along the preparation evolution",
-        "markov": "exact and Monte Carlo checks of the SWAP bipartition chain",
-        "levelstats": "disorder-pooled level-spacing ratio histogram",
-        "eigensweep": "initial vs saturation entropy for eigenstate initial conditions",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=str, default=None, help="config file path")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
@@ -124,17 +113,8 @@ def _progress(msg: str) -> None:
 
 
 def _finish(command: str, cfg: RunConfig, payload, summary: dict, t0: float, line: str) -> int:
-    record = RunRecord(
-        command=command,
-        config_text=serialize_config(cfg),
-        code_version=__version__,
-        master_seed=cfg.seed,
-        payload=payload,
-        summary=summary,
-        wall_clock_seconds=time.monotonic() - t0,
-    )
-    paths = write_results(record, cfg.out)
-    _progress(f"{command}: wrote {len(paths)} files in {record.wall_clock_seconds:.1f}s")
+    paths = write_results(cfg.out, command, serialize_config(cfg), cfg.seed, payload, summary)
+    _progress(f"{command}: wrote {len(paths)} files in {time.monotonic() - t0:.1f}s")
     print(f"{line} files={','.join(str(p) for p in paths)}")
     return 0
 
@@ -286,15 +266,24 @@ def _cmd_eigensweep(cfg: RunConfig, t0: float) -> int:
     )
 
 
-_HANDLERS = {
-    "basis": _cmd_basis,
-    "evolve": partial(_cmd_trajectory, "evolve"),
-    "rqc": partial(_cmd_trajectory, "rqc"),
-    "sweep": _cmd_sweep,
-    "reservoir": _cmd_reservoir,
-    "markov": _cmd_markov,
-    "levelstats": _cmd_levelstats,
-    "eigensweep": _cmd_eigensweep,
+_COMMANDS = {
+    "basis": ("enumerate the half-filling sector and dump it as CSV", _cmd_basis),
+    "evolve": (
+        "run-averaged entropy trajectory of a Hamiltonian or Floquet protocol",
+        partial(_cmd_trajectory, "evolve"),
+    ),
+    "rqc": (
+        "run-averaged entropy trajectory of a random circuit",
+        partial(_cmd_trajectory, "rqc"),
+    ),
+    "sweep": ("initial vs saturation entropy across preparation times, classified", _cmd_sweep),
+    "reservoir": ("BAEE - HCEE excess curve along the preparation evolution", _cmd_reservoir),
+    "markov": ("exact and Monte Carlo checks of the SWAP bipartition chain", _cmd_markov),
+    "levelstats": ("disorder-pooled level-spacing ratio histogram", _cmd_levelstats),
+    "eigensweep": (
+        "initial vs saturation entropy for eigenstate initial conditions",
+        _cmd_eigensweep,
+    ),
 }
 
 
@@ -304,7 +293,7 @@ def cli(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _load_config(args)
-        return _HANDLERS[args.command](cfg, t0)
+        return _COMMANDS[args.command][1](cfg, t0)
     except (ConfigError, ParameterError, CapacityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -316,8 +305,7 @@ def cli(argv=None) -> int:
         return 1
 
 
-def main(argv=None) -> int:
-    return cli(argv)
+main = cli
 
 
 if __name__ == "__main__":

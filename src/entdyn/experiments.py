@@ -221,12 +221,6 @@ def _preparation(
     return psi0, _xxz_terms(basis, prep_jz, fields, severed=prep_local)
 
 
-def _dense_block(terms, psi0: SectorState, T_arr) -> np.ndarray:
-    """The prepared block from the decomposition of the dense chain."""
-    prep = _decompose_owned(_build_chain(psi0.basis, terms))
-    return _spectral_apply(prep, psi0.amplitudes[:, None], _phase_factors(prep, T_arr))
-
-
 def _prepared_block(terms, psi0: SectorState, T_arr) -> np.ndarray:
     """Columns ``|psi0(T)>`` for every preparation time, one block per run.
 
@@ -240,7 +234,8 @@ def _prepared_block(terms, psi0: SectorState, T_arr) -> np.ndarray:
     nnz = terms[0].size + terms[1].size
     if _chebyshev_wins(psi0.basis.dim, nnz, half, T_arr):
         return _chebyshev_block(terms, psi0.amplitudes.real, T_arr)
-    return _dense_block(terms, psi0, T_arr)
+    prep = _decompose_owned(_build_chain(psi0.basis, terms))
+    return _spectral_apply(prep, psi0.amplitudes[:, None], _phase_factors(prep, T_arr))
 
 
 def _chebyshev_certain(basis: SectorBasis, T_arr, prep_W: float, prep_jz: float) -> bool:

@@ -4,18 +4,18 @@ Every command writes its payload as a CSV (or JSON report) plus a metadata
 JSON sitting next to it.  Output bytes are a pure function of the payload
 and config snapshot: floats render with 17 significant digits (enough to
 round-trip IEEE doubles), JSON keys are sorted, and nothing time- or
-host-dependent is ever persisted (wall-clock timing goes to standard
-error only).
+host-dependent is ever passed to the writer (the command line reports
+its wall-clock time on standard error).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .basis import SectorBasis
 from .errors import ParameterError
 from .evolution import Trajectory
@@ -28,24 +28,6 @@ SCHEMA_VERSION = 1
 def fmt_float(x: float) -> str:
     """Fixed 17-significant-digit decimal rendering of a double."""
     return f"{float(x):.17g}"
-
-
-@dataclass(eq=False)
-class RunRecord:
-    """Everything needed to reproduce and audit one command's output.
-
-    ``wall_clock_seconds`` is diagnostic only; it is reported on standard
-    error and deliberately kept out of every persisted file so repeated
-    runs stay byte-identical.
-    """
-
-    command: str
-    config_text: str
-    code_version: str
-    master_seed: int
-    payload: object
-    summary: dict = field(default_factory=dict)
-    wall_clock_seconds: float | None = None
 
 
 def _entropy_columns(table) -> dict:
@@ -107,49 +89,31 @@ def _csv_text(columns: dict) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _json_text(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json_text(obj) -> str:
+    """Sorted, indented JSON; numpy arrays and scalars go through ``tolist``."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=lambda v: v.tolist()) + "\n"
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
-
-
-def _write_text(path: Path, text: str) -> Path:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return path
-
-
-def write_results(record: RunRecord, out_dir) -> list[Path]:
-    """Persist a record's payload and metadata; returns written paths."""
+def write_results(
+    out_dir, command: str, config_text: str, master_seed: int, payload, summary: dict
+) -> list[Path]:
+    """Persist a command's payload and metadata; returns the written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if isinstance(record.payload, dict):
-        stem, body, kind = "markov_report", _json_text(_jsonable(record.payload)), "json"
+    if isinstance(payload, dict):
+        stem, body, kind = "markov_report", _json_text(payload), "json"
     else:
-        stem, columns = _columns(record.payload)
+        stem, columns = _columns(payload)
         body, kind = _csv_text(columns), "csv"
     meta = {
         "schema_version": SCHEMA_VERSION,
-        "command": record.command,
-        "code_version": record.code_version,
-        "master_seed": record.master_seed,
-        "config": record.config_text,
+        "command": command,
+        "code_version": __version__,
+        "master_seed": master_seed,
+        "config": config_text,
+        **summary,
     }
-    meta.update(_jsonable(record.summary))
-    paths = [
-        _write_text(out / f"{stem}.{kind}", body),
-        _write_text(out / f"{stem}.meta.json", _json_text(meta)),
-    ]
+    paths = [out / f"{stem}.{kind}", out / f"{stem}.meta.json"]
+    for path, text in zip(paths, (body, _json_text(meta))):
+        path.write_text(text, encoding="utf-8", newline="\n")
     return paths

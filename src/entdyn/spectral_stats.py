@@ -28,6 +28,8 @@ def _check_sorted(energies: np.ndarray) -> np.ndarray:
     e = np.asarray(energies, dtype=np.float64)
     if e.ndim != 1:
         raise ParameterError(f"energies must be one-dimensional, got shape {e.shape}")
+    if not np.isfinite(e).all():
+        raise ParameterError("energies must be finite")
     if e.size >= 2 and np.diff(e).min() < 0:
         raise ParameterError("energies must be sorted ascending")
     return e

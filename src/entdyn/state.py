@@ -26,7 +26,7 @@ class SectorState:
                 f"amplitudes must have shape ({self.basis.dim},), got {amps.shape}"
             )
         n = float(np.linalg.norm(amps))
-        if abs(n - 1.0) > _NORM_TOL:
+        if not abs(n - 1.0) <= _NORM_TOL:
             raise ParameterError(f"state norm {n} deviates from 1 beyond {_NORM_TOL}")
         self.amplitudes = amps
 

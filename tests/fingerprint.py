@@ -5,6 +5,7 @@ Usage::
     python tests/fingerprint.py SRC_DIR > fingerprint.txt
     python tests/fingerprint.py SRC_DIR --values OUT.npz > fingerprint.txt
     python tests/fingerprint.py --compare A.npz B.npz
+    python tests/fingerprint.py SRC_DIR --cli > cli.txt
 
 ``SRC_DIR`` is the ``src`` directory of the tree to fingerprint.  Each line
 names one case (driver, protocol, L, seed) and the sha256 of the ``uint64``
@@ -13,15 +14,21 @@ on its parent's and ``diff``-ing the two outputs shows every driver output
 that moved, down to the last bit.  ``--values`` also saves every case's
 arrays; ``--compare`` reads two such files and prints, for each case, the
 largest absolute difference of its arrays, and ``bit-equal`` where every
-bit agrees.  BLAS runs on one thread, because numpy and scipy bundle
-separate BLAS builds whose threaded products can differ in the last bit.
+bit agrees.  ``--cli`` instead runs a fixed set of command-line runs at
+L = 8 in process, in a temporary working directory with the same relative
+``--out`` names, and prints the sha256 of every file they write.  BLAS
+runs on one thread, because numpy and scipy bundle separate BLAS builds
+whose threaded products can differ in the last bit.
 pytest does not collect this file.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import sys
+import tempfile
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -31,6 +38,31 @@ import numpy as np  # noqa: E402
 T_LIST = (0.0, 0.5, 2.0, 4.5, 10.0, 32.0, 500.0)
 RUNS = 2
 CIRCUITS = {"circuit_samples": 2, "depth": 200}
+
+CLI_BASE = (
+    "L = 8\nruns = 3\nT_list = 0, 0.5, 2, 4.5, 32, 500\ndepth = 300\ncircuit_samples = 2\n"
+    "markov.steps = 50000\nmarkov.burn_in = 1000\n"
+)
+GENERIC = "protocol.kind = rqc\nprotocol.alpha = 2.2\nprotocol.beta = 0.8\n"
+SWAP = f"protocol.kind = rqc\nprotocol.alpha = {np.pi!r}\nprotocol.beta = {np.pi!r}\n"
+CLI_RUNS = (  # (output directory, command, config lines beyond CLI_BASE)
+    ("basis", "basis", ""),
+    ("sweep-thermal", "sweep", "protocol.kind = thermal\n"),
+    ("sweep-floquet", "sweep", "protocol.kind = floquet_mbl\n"),
+    ("sweep-ff", "sweep", "protocol.kind = free_fermion\n"),
+    ("sweep-rqc", "sweep", GENERIC),
+    ("sweep-swap", "sweep", SWAP),
+    ("sweep-thermal-local", "sweep", "protocol.kind = thermal\nprep.local = true\n"),
+    ("eigensweep-thermal", "eigensweep", "protocol.kind = thermal\n"),
+    ("eigensweep-rqc", "eigensweep", GENERIC),
+    ("evolve-thermal", "evolve", "protocol.kind = thermal\n"),
+    ("evolve-floquet-baee", "evolve", "protocol.kind = floquet_mbl\nrecord_baee = true\n"),
+    ("evolve-mbl-local", "evolve", "protocol.kind = hamiltonian_mbl\nprep.local = true\n"),
+    ("rqc-baee", "rqc", GENERIC + "record_baee = true\n"),
+    ("reservoir", "reservoir", ""),
+    ("markov", "markov", ""),
+    ("levelstats", "levelstats", ""),
+)
 
 
 def _digest(*arrays) -> str:
@@ -148,6 +180,30 @@ def _all_cases():
     yield from _layout_cases()
 
 
+def _cli_files():
+    """``(path, sha256)`` of every file the runs of ``CLI_RUNS`` write.
+
+    Paths are relative to a fresh working directory, so the ``out`` that
+    each ``*.meta.json`` echoes is the same in every tree.
+    """
+    from entdyn.cli import cli
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for out, command, config in CLI_RUNS:
+            with open(f"{out}.cfg", "w", encoding="utf-8") as fh:
+                fh.write(CLI_BASE + config)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli([command, "--config", f"{out}.cfg", "--out", out])
+            if code != 0:
+                sys.exit(f"{command} ({out}) exited {code}")
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name), "rb") as fh:
+                    yield f"{out}/{name}", hashlib.sha256(fh.read()).hexdigest()
+        os.chdir(home)
+
+
 def _compare(a_path: str, b_path: str) -> None:
     """Print each case's largest |difference| between two ``--values`` files."""
     a, b = np.load(a_path), np.load(b_path)
@@ -172,6 +228,7 @@ def main() -> None:
     parser.add_argument("src", nargs="?", help="src directory of the tree to fingerprint")
     parser.add_argument("--values", metavar="OUT.npz", help="also save every case's arrays")
     parser.add_argument("--compare", nargs=2, metavar=("A.npz", "B.npz"))
+    parser.add_argument("--cli", action="store_true", help="hash the files of CLI runs instead")
     args = parser.parse_args()
     if args.compare:
         _compare(*args.compare)
@@ -179,6 +236,10 @@ def main() -> None:
     if args.src is None:
         parser.error("give SRC_DIR or --compare")
     sys.path.insert(0, os.path.abspath(args.src))
+    if args.cli:
+        for path, digest in _cli_files():
+            print(f"{path} {digest}", flush=True)
+        return
     values = {}
     for case, arrays in _all_cases():
         print(f"{case} {_digest(*arrays)}", flush=True)

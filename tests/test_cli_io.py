@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from entdyn import experiments, operators
+from entdyn import __version__, experiments, operators
 from entdyn.basis import enumerate_sector
 from entdyn.cli import cli
 from entdyn.config import (
@@ -23,7 +23,7 @@ from entdyn.experiments import (
     ReservoirCurve,
     SweepTable,
 )
-from entdyn.io import RunRecord, write_results
+from entdyn.io import write_results
 from entdyn.spectral_stats import Histogram
 
 
@@ -125,16 +125,8 @@ def test_resolve_heavy_defaults():
 
 # --- writers ---------------------------------------------------------------
 
-def _record(payload, command="sweep"):
-    return RunRecord(
-        command=command,
-        config_text="L = 6\n",
-        code_version="0.0-test",
-        master_seed=0,
-        payload=payload,
-        summary={"note": "test"},
-        wall_clock_seconds=1.23,
-    )
+def _write(payload, out, command="sweep"):
+    return write_results(out, command, "L = 6\n", 0, payload, {"note": "test"})
 
 
 def test_sweep_csv_header_and_meta(tmp_path):
@@ -147,7 +139,7 @@ def test_sweep_csv_header_and_meta(tmp_path):
         runs=2,
         meta={"kind": "thermal"},
     )
-    paths = write_results(_record(table), tmp_path)
+    paths = _write(table, tmp_path)
     csv = (tmp_path / "sweep.csv").read_text()
     assert csv.splitlines()[0] == "T,S_initial,S_sat,delta_S,stderr_initial,stderr_sat,runs"
     meta = json.loads((tmp_path / "sweep.meta.json").read_text())
@@ -161,14 +153,14 @@ def test_sweep_csv_header_and_meta(tmp_path):
 
 def test_trajectory_csv_headers(tmp_path):
     traj = Trajectory(times=np.array([0.0, 1.0]), hcee=np.array([0.0, 0.5]))
-    write_results(_record(traj, command="evolve"), tmp_path)
+    _write(traj, tmp_path, command="evolve")
     assert (tmp_path / "trajectory.csv").read_text().splitlines()[0] == "time,hcee"
     traj2 = Trajectory(
         times=np.array([0.0, 1.0]),
         hcee=np.array([0.0, 0.5]),
         baee=np.array([0.1, 0.6]),
     )
-    write_results(_record(traj2, command="evolve"), tmp_path)
+    _write(traj2, tmp_path, command="evolve")
     assert (tmp_path / "trajectory.csv").read_text().splitlines()[0] == "time,hcee,baee"
 
 
@@ -178,7 +170,7 @@ def test_histogram_csv_header(tmp_path):
         bin_right=np.array([0.5, 1.0]),
         density=np.array([1.0, 1.0]),
     )
-    write_results(_record(hist, command="levelstats"), tmp_path)
+    _write(hist, tmp_path, command="levelstats")
     assert (
         tmp_path / "histogram.csv"
     ).read_text().splitlines()[0] == "bin_left,bin_right,density"
@@ -253,7 +245,7 @@ def test_csv_bytes_are_pinned(tmp_path, case, capsys):
     if payload is None:
         assert cli(["basis", "--L", "4", "--out", str(tmp_path)]) == 0
     else:
-        write_results(_record(payload), tmp_path)
+        _write(payload, tmp_path)
     stem = case.split("-")[0]
     assert (tmp_path / f"{stem}.csv").read_text(encoding="utf-8") == text
 
@@ -268,20 +260,37 @@ def test_rewrite_is_byte_identical(tmp_path):
         runs=1,
         meta={},
     )
-    write_results(_record(table), tmp_path)
+    _write(table, tmp_path)
     first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    # a different wall clock must not leak into any file
-    rec = _record(table)
-    rec.wall_clock_seconds = 9999.0
-    write_results(rec, tmp_path)
+    _write(table, tmp_path)
     second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert first == second
+
+
+def test_meta_json_bytes_are_pinned_for_numpy_values(tmp_path):
+    # numpy scalars and arrays go through tolist; a float64 prints like a float
+    summary = {
+        "f": np.float64(0.1),
+        "i": np.int64(7),
+        "arr": np.array([0.5, 1.0 / 3.0]),
+        "pair": (np.int32(1), 2.5),
+        "nested": {"ok": np.bool_(True), "nan": np.float64("nan")},
+    }
+    traj = Trajectory(times=np.array([0.0]), hcee=np.array([0.0]))
+    write_results(tmp_path, "evolve", "L = 6\n", 3, traj, summary)
+    assert (tmp_path / "trajectory.meta.json").read_text(encoding="utf-8") == (
+        '{\n  "arr": [\n    0.5,\n    0.3333333333333333\n  ],\n'
+        f'  "code_version": "{__version__}",\n  "command": "evolve",\n'
+        '  "config": "L = 6\\n",\n  "f": 0.1,\n  "i": 7,\n  "master_seed": 3,\n'
+        '  "nested": {\n    "nan": NaN,\n    "ok": true\n  },\n'
+        '  "pair": [\n    1,\n    2.5\n  ],\n  "schema_version": 1\n}\n'
+    )
 
 
 def test_floats_survive_round_trip(tmp_path):
     value = 0.1 + 0.2  # not exactly 0.3
     traj = Trajectory(times=np.array([value]), hcee=np.array([1.0 / 3.0]))
-    write_results(_record(traj, command="evolve"), tmp_path)
+    _write(traj, tmp_path, command="evolve")
     line = (tmp_path / "trajectory.csv").read_text().splitlines()[1]
     t, h = line.split(",")
     assert float(t) == value

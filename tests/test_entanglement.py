@@ -375,6 +375,12 @@ def test_trace_guard_passes_every_accepted_norm(rng, basis8):
         assert abs(baee(scaled) - baee(state)) < 1e-6
 
 
+def test_sector_state_refuses_a_nan_norm():
+    basis = enumerate_sector(4, 0)
+    with pytest.raises(ParameterError, match="norm nan"):
+        SectorState(basis, np.full(basis.dim, np.nan))
+
+
 def test_trace_guard_rejects_a_weight_defect(rng, basis8):
     block = _unit_columns(basis8, rng, 3)
     block[:, 1] *= 1 + 1e-6

@@ -207,11 +207,12 @@ def test_route_rule_keeps_the_warm_up_dense_and_sends_l14_to_chebyshev():
 
 @pytest.mark.parametrize("local", [False, True], ids=["xxz", "severed"])
 @pytest.mark.parametrize("L", [8, 10, 12])
-def test_chebyshev_block_matches_dense_block(L, local):
+def test_chebyshev_block_matches_dense_block(L, local, monkeypatch):
     basis = enumerate_sector(L, 0)
     psi0, terms = experiments._preparation(basis, 0, 3, 0.5, 0.5, prep_local=local)
     T_arr = np.asarray(DEFAULT_T_LIST)
-    dense = experiments._dense_block(terms, psi0, T_arr)
+    monkeypatch.setattr(experiments, "_chebyshev_wins", lambda *args: False)
+    dense = experiments._prepared_block(terms, psi0, T_arr)
     cheb = _chebyshev_block(terms, psi0.amplitudes.real, T_arr)
     assert np.abs(cheb - dense).max() < 1e-12
     assert np.abs(cheb[:, 0] - psi0.amplitudes).max() < 1e-14

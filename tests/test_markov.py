@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from entdyn import _kernels, bipartition_markov
 from entdyn.bipartition_markov import (
     markov_report,
     monte_carlo_occupation,
@@ -73,6 +75,17 @@ def test_stationary_uniform():
         assert np.max(np.abs(pi - 1.0 / tm.n)) < 1e-12
 
 
+def test_stationary_refuses_a_nonfinite_matrix():
+    # an all-NaN P once returned NaNs; NaN at [2, 2] alone, which the
+    # normalization row overwrites, once returned the uniform law
+    P = transition_matrix(4).P
+    bad = P.copy()
+    bad[2, 2] = np.nan
+    for M in (np.full((3, 3), np.nan), bad):
+        with pytest.raises(ParameterError, match="finite"):
+            stationary_distribution(M)
+
+
 def test_ergodicity_report():
     rep = verify_ergodicity(transition_matrix(4))
     assert rep.irreducible
@@ -115,6 +128,47 @@ def test_monte_carlo_deterministic_per_seed():
     b = monte_carlo_occupation(6, 100_000, 1000, np.random.default_rng(3))
     assert np.array_equal(a.counts, b.counts)
     assert a.tv_distance == b.tv_distance
+
+
+@pytest.mark.parametrize("burn_in", [5, 20])  # before and after the first chunk boundary
+def test_monte_carlo_chunks_walk_the_one_draw_stream(burn_in, monkeypatch):
+    L, steps = 8, 40
+    states, table = bipartition_markov._successor_table(L)
+    s0 = states.index(Bipartition.half_chain(L))
+    bonds = np.random.default_rng(9).integers(0, L - 1, size=steps)
+    _, expected = _kernels.swap_walk(table, s0, bonds, burn_in)
+    monkeypatch.setattr(bipartition_markov, "_WALK_CHUNK", 7)
+    res = monte_carlo_occupation(L, steps, burn_in, np.random.default_rng(9))
+    assert np.array_equal(res.counts, expected)
+    assert res.counts.sum() == steps - burn_in
+
+
+def test_monte_carlo_memory_stays_flat_in_steps():
+    # one draw of all bonds took 15.3 MiB for 2,000,000 steps
+    bipartition_markov._successor_table(6)
+    tracemalloc.start()
+    try:
+        monte_carlo_occupation(6, 2_000_000, 1000, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_markov_report_builds_the_successor_table_once(monkeypatch):
+    builds = []
+    enumerate_bipartitions = bipartition_markov.enumerate_bipartitions
+
+    def spy(L):
+        builds.append(L)
+        return enumerate_bipartitions(L)
+
+    monkeypatch.setattr(bipartition_markov, "enumerate_bipartitions", spy)
+    bipartition_markov._successor_table.cache_clear()
+    markov_report(6, 10_000, 100, np.random.default_rng(1))
+    assert builds == [6]
+    with pytest.raises(ValueError, match="read-only"):
+        bipartition_markov._successor_table(6)[1][0, 0] = 0
 
 
 def test_monte_carlo_validates():

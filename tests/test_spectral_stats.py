@@ -30,6 +30,15 @@ def test_middle_third_requires_sorted():
         middle_third(np.array([1.0, 2.0]))
 
 
+def test_nonfinite_energies_are_refused():
+    # NaN gaps once passed the sort check and were counted as degenerate
+    for e in ([0.0, np.nan, 1.0, 2.0, 3.5], [0.0, 1.0, 2.0, 3.5, np.inf]):
+        with pytest.raises(ParameterError, match="finite"):
+            spacing_ratios(np.array(e))
+    with pytest.raises(ParameterError, match="finite"):
+        middle_third(np.array([0.0, np.nan, 1.0, 2.0, 3.5, 4.0, 5.0]))
+
+
 def test_spacing_ratios_simple():
     s = spacing_ratios(np.array([0.0, 1.0, 2.0]))
     assert s.ratios.tolist() == [1.0]
