@@ -154,9 +154,11 @@ def verify_ergodicity(tm: TransitionMatrix) -> ErgodicityReport:
 
 
 def second_eigenvalue_modulus(P: np.ndarray) -> float:
-    """Modulus of the subdominant eigenvalue (convergence rate)."""
-    vals = np.linalg.eigvals(np.asarray(P, dtype=np.float64))
-    mods = np.sort(np.abs(vals))
+    """Modulus of the subdominant eigenvalue (convergence rate) of symmetric ``P``."""
+    P = np.asarray(P, dtype=np.float64)
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or not np.abs(P - P.T).max(initial=0) <= 1e-15:
+        raise ParameterError("transition matrix must be square and symmetric")
+    mods = np.sort(np.abs(np.linalg.eigvalsh(P)))
     return float(mods[-2]) if mods.size > 1 else 0.0
 
 

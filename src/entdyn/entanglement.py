@@ -6,17 +6,20 @@ block diagonal over the A-side up count, and each block's nonzero
 spectrum is that of the Gram matrix of the smaller side of the
 coefficient block.
 
-Every entropy goes through one kernel, ``_layout_entropies``.  A caller
-gathers the amplitudes of many states (rows) into the block layout of a
-subset through the subset's slot row (``basis._slot_rows`` builds every
-row); the kernel forms each block's Gram matrices for all rows at once,
-gathers the eigenvalues, checks that each row's spectral weight is one,
-and applies the clip policy.  Three callers feed it: ``subset_entropy``
-(one state, any subset), ``_half_chain_entropies`` (a block of states,
-the half chain) and ``_bipartition_entropies`` (a block of states, every
-canonical bipartition, rows built per chunk on a thread pool);
-``bipartition_entropies`` and ``baee`` are its one-column calls.  Two
-aggregate quantities drive the experiments:
+Every entropy goes through two shared stages.  A caller gathers the
+amplitudes of many states (rows) into the block layout of a subset
+through the subset's slot row (``basis._slot_rows`` builds every row);
+``_layout_grams`` forms each block's Gram matrices for all rows at once,
+and ``_gram_entropies`` takes their eigenvalues, checks that each row's
+spectral weight is one, and applies the clip policy.  Three callers feed
+them: ``subset_entropy`` (one state, any subset), ``_half_chain_entropies``
+(a block of states, the half chain) and ``_bipartition_entropies`` (a
+block of states, every canonical bipartition, both stages per chunk on a
+thread pool); ``bipartition_entropies`` and ``baee`` are its one-column
+calls.  ``_half_chain_overlapped`` runs the first stage of a sequence of
+blocks on the calling thread and the second on one worker, a block behind.
+Both pooled sections hold numpy's OpenBLAS at one thread.  Two aggregate
+quantities drive the experiments:
 
 * ``hcee``  -- entropy of the left half chain, sites 1..L/2.
 * ``baee``  -- entropy averaged over every equal bipartition of the chain,
@@ -26,12 +29,15 @@ aggregate quantities drive the experiments:
 
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, fsum, log
+from pathlib import Path
 
 import numpy as np
 
@@ -40,6 +46,7 @@ from .errors import NumericError, ParameterError
 from .state import _NORM_TOL, SectorState
 
 _EIG_TOL = 1e-12
+_SET_THREADS = "scipy_openblas_set_num_threads64_"
 # a state whose norm SectorState accepts has spectral weight within this of 1
 _TRACE_TOL = (1.0 + _NORM_TOL) ** 2 - 1.0 + 1e-12
 
@@ -124,24 +131,36 @@ def enumerate_bipartitions(L: int) -> tuple[Bipartition, ...]:
     return tuple(bips)
 
 
-def _layout_entropies(basis: SectorBasis, buf: np.ndarray, nA: int) -> np.ndarray:
-    """Entropy of every row of ``buf``, laid out in the size-``nA`` block order.
+def _layout_grams(basis: SectorBasis, buf: np.ndarray, nA: int):
+    """Per block of the size-``nA`` layout, the Gram stack of all rows of ``buf``.
 
-    The one spectral kernel: it forms each block's Gram matrix for all rows
-    at once, gathers every row's block eigenvalues into one ``(m, n)``
-    array, and applies the trace check and the clip policy once per call.
+    A one-row or one-column block yields its ``(m, 1)`` weights instead.
     """
     _, shapes, offsets = _split_geometry(basis, nA)
     m = buf.shape[0]
-    parts = []
     for (r, c), o in zip(shapes.tolist(), offsets.tolist()):
         Z = buf[:, o : o + r * c].reshape(m, r, c)
         if r == 1 or c == 1:
-            parts.append(np.sum(Z.real**2 + Z.imag**2, axis=(1, 2))[:, None])
+            yield np.sum(Z.real**2 + Z.imag**2, axis=(1, 2))[:, None]
         elif r <= c:
-            parts.append(np.linalg.eigvalsh(Z @ Z.conj().transpose(0, 2, 1)))
+            yield Z @ Z.conj().transpose(0, 2, 1)
         else:
-            parts.append(np.linalg.eigvalsh(Z.conj().transpose(0, 2, 1) @ Z))
+            yield Z.conj().transpose(0, 2, 1) @ Z
+
+
+def _gram_entropies(grams) -> np.ndarray:
+    """Entropy of every row from its blocks' Gram stacks, one ``eigvalsh`` each.
+
+    The trace check and the clip policy apply once to all the eigenvalues.
+    Fed by :func:`_layout_grams`, each stack is freed before the next forms.
+    """
+    parts = []
+    for g in grams:
+        try:
+            parts.append(g if g.ndim == 2 else np.linalg.eigvalsh(g))
+        except np.linalg.LinAlgError as exc:  # NaN amplitudes
+            raise NumericError(f"subset spectrum: {exc}") from exc
+        del g
     w = np.concatenate(parts, axis=1)
     dev = np.abs(np.clip(w, 0.0, None).sum(axis=1) - 1.0)
     if dev.size and not dev.max() <= _TRACE_TOL:  # NaN fails too
@@ -149,16 +168,15 @@ def _layout_entropies(basis: SectorBasis, buf: np.ndarray, nA: int) -> np.ndarra
     return _entropy_from_eigs(w)
 
 
-def _subset_entropies(basis: SectorBasis, subset, block: np.ndarray) -> np.ndarray:
-    """Entropy of ``subset`` for every unit column of a ``(dim, m)`` block."""
+def _subset_grams(basis: SectorBasis, subset, block: np.ndarray):
+    """The Gram stacks of ``subset`` for every unit column of a ``(dim, m)`` block."""
     sites, row = _subset_row(basis, subset)
-    buf = np.asarray(block, dtype=np.complex128)[row].T
-    return _layout_entropies(basis, buf, len(sites))
+    return _layout_grams(basis, np.asarray(block, dtype=np.complex128)[row].T, len(sites))
 
 
 def subset_entropy(state: SectorState, subset) -> float:
     """Entropy of a subset without forming the full reduced matrix."""
-    return float(_subset_entropies(state.basis, subset, state.amplitudes[:, None])[0])
+    return float(_gram_entropies(_subset_grams(state.basis, subset, state.amplitudes[:, None]))[0])
 
 
 def hcee(state: SectorState) -> float:
@@ -168,11 +186,7 @@ def hcee(state: SectorState) -> float:
 
 def _half_chain_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
     """Half-chain entropy of every unit column of a ``(dim, m)`` block."""
-    return _subset_entropies(basis, range(1, basis.L // 2 + 1), block)
-
-
-# rows (bipartitions x states) per chunk of the bipartition entropies
-_CHUNK_ROWS = 128
+    return _gram_entropies(_subset_grams(basis, range(1, basis.L // 2 + 1), block))
 
 
 def _cpus() -> int:
@@ -180,6 +194,53 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS on one thread inside the block, its count after.
+
+    A pooled section keeps every CPU busy; BLAS threads on top only contend.
+    Without numpy's bundled OpenBLAS it does nothing.
+    """
+    libs = (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*")
+    lib = next((b for b in map(ctypes.CDLL, map(str, libs)) if hasattr(b, _SET_THREADS)), None)
+    if lib is None:
+        yield
+        return
+    get, set_ = lib.scipy_openblas_get_num_threads64_, getattr(lib, _SET_THREADS)
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _half_chain_overlapped(basis: SectorBasis, evolve, n: int) -> list:
+    """Half-chain entropies of the blocks ``evolve(0), ..., evolve(n - 1)``.
+
+    With two or more CPUs and blocks, the calling thread evolves each block
+    and forms its Gram stacks, while one worker takes the spectra, trace
+    check and clip policy of the block before it: at most one is in flight.
+    Otherwise both stages run inline.
+    """
+    if n == 1 or _cpus() == 1:
+        return [_half_chain_entropies(basis, evolve(i)) for i in range(n)]
+    half, done = range(1, basis.L // 2 + 1), []
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
+        for i in range(n):
+            grams = list(_subset_grams(basis, half, evolve(i)))
+            if done:
+                done[-1].result()
+            done.append(pool.submit(_gram_entropies, grams))
+    return [f.result() for f in done]
+
+
+# rows (bipartitions x states) per chunk of the bipartition entropies
+_CHUNK_ROWS = 128
 
 
 def _bipartition_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
@@ -210,7 +271,7 @@ def _bipartition_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
         stop = min(start + c, n)
         rows = _slot_rows(basis, sites_a[start:stop], sites_b[start:stop])
         buf = np.take(amps, rows, axis=1).reshape(m * (stop - start), basis.dim)
-        ent = _layout_entropies(basis, buf, half)
+        ent = _gram_entropies(_layout_grams(basis, buf, half))
         out[:, start:stop] = ent.reshape(m, stop - start)
 
     starts = range(0, n, c)
@@ -219,7 +280,7 @@ def _bipartition_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
         for start in starts:
             chunk(start)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
             for _ in pool.map(chunk, starts):
                 pass
     return out

@@ -41,7 +41,8 @@ import numpy as np
 from .basis import SectorBasis, _whole_numbers, enumerate_sector
 # baee, hcee, propagate, floquet_power, run_rqc, spectral_decompose and
 # build_local_cut are unused here: entbench/tracer.py wraps them
-from .entanglement import _bipartition_entropies, _half_chain_entropies, baee, hcee  # noqa: F401
+from .entanglement import _bipartition_entropies, _half_chain_entropies, _half_chain_overlapped
+from .entanglement import baee, hcee  # noqa: F401
 from .errors import ParameterError
 from .evolution import (  # noqa: F401
     SpectralDecomposition,
@@ -295,9 +296,12 @@ class _QuenchEngine:
         Returns one ``(hcee, baee)`` pair per realization (one gate sequence
         of a circuit, else the run's decomposition), each ``(len(steps), m)``
         and ``baee`` None unless ``record_baee``.  The phase factors are
-        computed once per call.  One step evolves the whole block at once;
-        several evolve one column at a time, which keeps each column's
-        readings contiguous for the window mean.
+        computed once per call.  One step evolves and reads the whole block
+        on the calling thread.  Several go through
+        :func:`entanglement._half_chain_overlapped` in pieces, one column's
+        steps or above 1 MiB half of them: the calling thread evolves a piece, forms its
+        half-chain Gram stacks and takes its BAEE, while one worker takes
+        the spectra, trace check and clip policy of the piece before.
         """
         basis = self.basis
         if self.spec.kind == "rqc":
@@ -310,17 +314,26 @@ class _QuenchEngine:
                 out.append(_circuit_readings(amps, gate, basis, bonds, steps, record_baee))
             return out
         factors = _phase_factors(self.decomp, steps)
-        one_step = factors.shape[1] == 1
-        parts = [block] if one_step else [block[:, j : j + 1] for j in range(block.shape[1])]
-        rows = []
-        for part in parts:
-            states = _spectral_apply(self.decomp, part, factors)
-            rows.append([_half_chain_entropies(basis, states)])
+        k, m = factors.shape[1], block.shape[1]
+        # One step evolves the whole block, several each column: whole, or
+        # above 1 MiB in two pieces, the first in whole 8-column panels of the
+        # real GEMM.  Products that large take OpenBLAS's general kernel,
+        # whose columns are the same bits however the window is cut.
+        h = k if basis.dim * k * 16 <= 2**20 else -(-k // 8) * 4
+        cuts = [(slice(None), slice(None))] if k == 1 else [
+            (slice(j, j + 1), slice(s, s + h)) for j in range(m) for s in range(0, k, h)
+        ]
+        ba = []
+
+        def evolve(i: int) -> np.ndarray:
+            states = _spectral_apply(self.decomp, block[:, cuts[i][0]], factors[:, cuts[i][1]])
             if record_baee:
-                rows[-1].append(_bipartition_entropies(basis, states).mean(axis=1))
-        # (parts, readings, k) -> (readings, len(steps), m)
-        read = np.array(rows).transpose((1, 0, 2) if one_step else (1, 2, 0))
-        return [(read[0], read[1] if record_baee else None)]
+                ba.append(_bipartition_entropies(basis, states).mean(axis=1))
+            return states
+
+        # each column's readings stay contiguous, so a window mean sums them as before
+        hc = np.concatenate(_half_chain_overlapped(basis, evolve, len(cuts))).reshape(-1, k).T
+        return [(hc, np.concatenate(ba).reshape(-1, k).T if record_baee else None)]
 
     def saturation(self, block: np.ndarray) -> np.ndarray:
         """Saturation entropy of every unit column of a ``(dim, m)`` block.

@@ -4,7 +4,8 @@ Everything here works in the full 2**L Hilbert space with dense tensors,
 deliberately sharing no code with the package internals: entropies come
 from an SVD after axis permutation, Hamiltonians from explicit Kronecker
 products, and time evolution from ``scipy.linalg.expm``.  Meant for
-L <= 10.  ``run_one_thread`` runs a bitwise check in a fresh interpreter.
+L <= 10.  ``run_one_thread`` runs a bitwise check in a fresh interpreter
+(``run_with_blas_threads`` with another thread count).
 ``haar_sector_average`` is the Monte Carlo reference for the closed-form
 Haar sector mean; it reads the package's batched half-chain entropies.
 """
@@ -35,8 +36,14 @@ def run_one_thread(code: str) -> str:
     two may split a product differently, which moves the last bits.  The
     child imports ``entdyn`` from this checkout and can import this module.
     """
+    return run_with_blas_threads(code, 1)
+
+
+def run_with_blas_threads(code: str, threads: int) -> str:
+    """Run ``code`` in a fresh interpreter with ``threads`` BLAS threads; its stdout."""
     env = dict(os.environ)
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    n = str(threads)
+    env.update(OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, MKL_NUM_THREADS=n)
     src = str(Path(entdyn.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
     env["PYTHONPATH"] = os.pathsep.join([src, tests, env.get("PYTHONPATH", "")])

@@ -29,6 +29,7 @@ from oracles import (
     oracle_slot_row,
     oracle_subset_entropy,
     run_one_thread,
+    run_with_blas_threads,
 )
 
 
@@ -317,6 +318,53 @@ def test_pool_raises_a_weight_defect(rng, monkeypatch):
     with pytest.raises(NumericError, match="spectral weight"):
         entanglement._bipartition_entropies(basis, block)
     assert threading.active_count() == threads
+
+
+def test_pooled_sections_run_numpy_blas_on_one_thread():
+    code = """
+import numpy as np
+from entdyn import entanglement
+from entdyn.basis import enumerate_sector
+from entdyn.errors import NumericError
+import ctypes
+from pathlib import Path
+libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*"))
+if not libs:
+    print("absent")
+    raise SystemExit
+threads = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_
+seen, fail = [], []
+kernel = entanglement._gram_entropies
+def spy(grams):
+    seen.append(threads())
+    if fail:
+        raise NumericError("planted")
+    return kernel(grams)
+entanglement._gram_entropies = spy
+entanglement._cpus = lambda: 2
+basis = enumerate_sector(8, 0)
+block = np.eye(basis.dim, dtype=np.complex128)  # one bipartition per chunk
+sections = (
+    lambda: entanglement._bipartition_entropies(basis, block),
+    lambda: entanglement._half_chain_overlapped(basis, lambda i: block, 3),
+)
+print(threads())
+for run in sections:
+    run()
+    print(set(seen), threads())
+    seen.clear()
+fail.append(True)
+for run in sections:
+    try:
+        run()
+    except NumericError:
+        print(set(seen), threads())
+    seen.clear()
+"""
+    lines = run_with_blas_threads(code, 2).splitlines()
+    if lines == ["absent"]:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    assert lines == ["2"] + ["{1} 2"] * 4
 
 
 def test_baee_is_mean_of_cut_entropies(rng, basis8):

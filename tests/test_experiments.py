@@ -47,6 +47,8 @@ from entdyn.evolution import (
 )
 from entdyn.state import SectorState, random_sector_state
 
+from oracles import run_one_thread
+
 BLOCK_T = (0.0, 0.5, 2.0, 10.0, 500.0)
 BLOCK_SPECS = [
     ProtocolSpec(kind=k)
@@ -717,3 +719,120 @@ def test_block_path_guards_norm_drift(kind, monkeypatch):
     )
     with pytest.raises(NumericError):
         delta_s_sweep(8, spec, T_list=BLOCK_T, runs=1)
+
+
+def _serial_readings(engine, block, steps, record_baee=False):
+    """Half-chain entropies (and BAEE) of whole columns evolved over all steps at once."""
+    from entdyn.entanglement import _bipartition_entropies
+
+    factors = evolution._phase_factors(engine.decomp, steps)
+    cols = [evolution._spectral_apply(engine.decomp, block[:, j : j + 1], factors)
+            for j in range(block.shape[1])]
+    hcee_ = np.array([_half_chain_entropies(engine.basis, c) for c in cols]).T
+    if not record_baee:
+        return hcee_, None
+    return hcee_, np.array([_bipartition_entropies(engine.basis, c).mean(axis=1) for c in cols]).T
+
+
+def _free_fermion_run(L, seed=3):
+    """A free-fermion engine at L and its run's prepared block at ``BLOCK_T``."""
+    basis = enumerate_sector(L, 0)
+    engine = experiments._make_engine(basis, ProtocolSpec(kind="free_fermion"), seed, 0)
+    psi0, terms = experiments._preparation(
+        basis, seed, 0, experiments.THERMAL_W, experiments.DEFAULT_JZ
+    )
+    return engine, experiments._prepared_block(terms, psi0, np.array(BLOCK_T))
+
+
+def test_overlapped_window_matches_the_serial_route_bitwise():
+    code = """
+import numpy as np
+from entdyn import entanglement
+from entdyn.experiments import FF_WINDOW
+from test_experiments import _free_fermion_run, _serial_readings
+# 252 x 301 amplitudes pass 1 MiB, so a column splits into 152 and 149 steps
+steps = np.linspace(0.5, 40.0, 301)
+for L in (10, 12):
+    engine, block = _free_fermion_run(L)
+    h_ref, _ = _serial_readings(engine, block, FF_WINDOW)
+    if L == 10:
+        h_traj, b_traj = _serial_readings(engine, block[:, :1], steps, record_baee=True)
+    for cpus in (2, 1):
+        entanglement._cpus = lambda: cpus
+        (h, b), = engine.readings(block, FF_WINDOW)
+        print(np.array_equal(h, h_ref), b is None)
+        # the window mean sums each column's readings contiguously, as before
+        print(np.array_equal(engine.saturation(block), h_ref.mean(axis=0)))
+        if L == 10:
+            (h, b), = engine.readings(block[:, :1], steps, record_baee=True)
+            print(np.array_equal(h, h_traj), np.array_equal(b, b_traj))
+"""
+    assert run_one_thread(code).split() == ["True"] * 16
+
+
+def test_worker_numeric_error_propagates_and_leaves_no_thread(monkeypatch):
+    import threading
+
+    from entdyn import entanglement
+
+    engine, block = _free_fermion_run(8)
+    apply = experiments._spectral_apply
+    calls = []
+
+    def nan_in_third_piece(decomp, part, factors):
+        out = apply(decomp, part, factors)
+        calls.append(None)
+        if len(calls) == 3:
+            out[:, 0] = np.nan  # past the norm guard, so the worker sees it
+        return out
+
+    raised_in = []
+    kernel = entanglement._gram_entropies
+
+    def spy(grams):
+        try:
+            return kernel(grams)
+        except NumericError:
+            raised_in.append(threading.current_thread() is threading.main_thread())
+            raise
+
+    monkeypatch.setattr(experiments, "_spectral_apply", nan_in_third_piece)
+    monkeypatch.setattr(entanglement, "_gram_entropies", spy)
+    monkeypatch.setattr(entanglement, "_cpus", lambda: 2)
+    threads = threading.active_count()
+    with pytest.raises(NumericError):
+        engine.readings(block, FF_WINDOW)
+    assert raised_in == [False]
+    assert threading.active_count() == threads
+
+
+def test_overlap_worker_calls_no_traced_name(monkeypatch):
+    import threading
+
+    import entdyn
+    from entdyn import entanglement
+
+    from test_tracer_hooks import _tracer_layers
+
+    off_main = []
+    for mod, attr, _ in _tracer_layers():
+        fn = getattr(getattr(entdyn, mod), attr)
+
+        def recorded(*args, _fn=fn, _name=f"{mod}.{attr}", **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(getattr(entdyn, mod), attr, recorded)
+    workers = []
+    kernel = entanglement._gram_entropies
+
+    def spy(grams):
+        workers.append(threading.current_thread() is not threading.main_thread())
+        return kernel(grams)
+
+    monkeypatch.setattr(entanglement, "_gram_entropies", spy)
+    monkeypatch.setattr(entanglement, "_cpus", lambda: 2)
+    engine, block = _free_fermion_run(8)
+    engine.readings(block, np.linspace(0.5, 40.0, 13), record_baee=True)
+    assert any(workers) and not off_main

@@ -110,6 +110,14 @@ def test_second_eigenvalue_modulus():
     assert slem < 1.0
 
 
+def test_second_eigenvalue_modulus_refuses_a_nonsymmetric_matrix():
+    P = transition_matrix(4).P.copy()
+    P[0, 1] += 1e-9
+    for bad in (P, P[:, :-1], np.full((3, 3), np.nan)):
+        with pytest.raises(ParameterError, match="square and symmetric"):
+            second_eigenvalue_modulus(bad)
+
+
 def test_monte_carlo_occupation_converges():
     rng = np.random.default_rng(11)
     res = monte_carlo_occupation(4, 1_000_000, 10_000, rng)
