@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, fsum, log
 from pathlib import Path
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -223,20 +225,45 @@ def _half_chain_overlapped(basis: SectorBasis, evolve, n: int) -> list:
     """Half-chain entropies of the blocks ``evolve(0), ..., evolve(n - 1)``.
 
     With two or more CPUs and blocks, the calling thread evolves each block
-    and forms its Gram stacks, while one worker takes the spectra, trace
-    check and clip policy of the block before it: at most one is in flight.
-    Otherwise both stages run inline.
+    and forms its Gram stacks, while one worker thread takes the spectra,
+    trace check and clip policy of the block before it: at most one is in
+    flight.  Otherwise both stages run inline.  The threads hand blocks
+    over through two queues, which allocate nothing on the C heap: with a
+    future per block, the heap's layout, and so the peak memory, depended
+    on thread timing.
     """
     if n == 1 or _cpus() == 1:
         return [_half_chain_entropies(basis, evolve(i)) for i in range(n)]
-    half, done = range(1, basis.L // 2 + 1), []
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
-        for i in range(n):
-            grams = list(_subset_grams(basis, half, evolve(i)))
-            if done:
-                done[-1].result()
-            done.append(pool.submit(_gram_entropies, grams))
-    return [f.result() for f in done]
+    half, out, todo, done = range(1, basis.L // 2 + 1), [], SimpleQueue(), SimpleQueue()
+
+    def work() -> None:
+        for grams in iter(todo.get, None):
+            try:
+                done.put(_gram_entropies(grams))
+            except BaseException as exc:  # raised again on the calling thread
+                done.put(exc)
+            del grams
+
+    def collect() -> None:
+        out.append(done.get())
+        if isinstance(out[-1], BaseException):
+            raise out[-1]
+
+    worker = threading.Thread(target=work)
+    with _one_blas_thread():
+        worker.start()
+        try:
+            for i in range(n):
+                grams = list(_subset_grams(basis, half, evolve(i)))
+                if i:
+                    collect()
+                todo.put(grams)
+                del grams
+            collect()
+        finally:
+            todo.put(None)
+            worker.join()
+    return out
 
 
 # rows (bipartitions x states) per chunk of the bipartition entropies
