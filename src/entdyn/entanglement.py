@@ -191,6 +191,10 @@ def _half_chain_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
     return _gram_entropies(_subset_grams(basis, range(1, basis.L // 2 + 1), block))
 
 
+# rows (bipartitions x states) per chunk of the bipartition entropies
+_CHUNK_ROWS = 128
+
+
 def _cpus() -> int:
     """Number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -228,9 +232,9 @@ def _half_chain_overlapped(basis: SectorBasis, evolve, n: int) -> list:
     and forms its Gram stacks, while one worker thread takes the spectra,
     trace check and clip policy of the block before it: at most one is in
     flight.  Otherwise both stages run inline.  The threads hand blocks
-    over through two queues, which allocate nothing on the C heap: with a
-    future per block, the heap's layout, and so the peak memory, depended
-    on thread timing.
+    over through two queues, which allocate nothing on the C heap per
+    block; a future per block does, at moments that depend on thread
+    timing, and so made the peak memory vary from process to process.
     """
     if n == 1 or _cpus() == 1:
         return [_half_chain_entropies(basis, evolve(i)) for i in range(n)]
@@ -244,30 +248,21 @@ def _half_chain_overlapped(basis: SectorBasis, evolve, n: int) -> list:
                 done.put(exc)
             del grams
 
-    def collect() -> None:
-        out.append(done.get())
-        if isinstance(out[-1], BaseException):
-            raise out[-1]
-
     worker = threading.Thread(target=work)
     with _one_blas_thread():
         worker.start()
         try:
-            for i in range(n):
-                grams = list(_subset_grams(basis, half, evolve(i)))
+            for i in range(n + 1):
+                if i < n:
+                    todo.put(list(_subset_grams(basis, half, evolve(i))))
                 if i:
-                    collect()
-                todo.put(grams)
-                del grams
-            collect()
+                    out.append(done.get())
+                    if isinstance(out[-1], BaseException):
+                        raise out[-1]
         finally:
             todo.put(None)
             worker.join()
     return out
-
-
-# rows (bipartitions x states) per chunk of the bipartition entropies
-_CHUNK_ROWS = 128
 
 
 def _bipartition_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:

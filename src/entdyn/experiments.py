@@ -298,10 +298,11 @@ class _QuenchEngine:
         and ``baee`` None unless ``record_baee``.  The phase factors are
         computed once per call.  One step evolves and reads the whole block
         on the calling thread.  Several go through
-        :func:`entanglement._half_chain_overlapped` in pieces, one column's
-        steps or above 1 MiB half of them: the calling thread evolves a piece, forms its
-        half-chain Gram stacks and takes its BAEE, while one worker takes
-        the spectra, trace check and clip policy of the piece before.
+        :func:`entanglement._half_chain_overlapped` in pieces (a column's
+        steps, or half of them above 1 MiB): the calling thread evolves a
+        piece, forms its half-chain Gram stacks and takes its BAEE, while
+        one worker thread takes the spectra, trace check and clip policy of
+        the piece before.
         """
         basis = self.basis
         if self.spec.kind == "rqc":
@@ -331,7 +332,7 @@ class _QuenchEngine:
                 ba.append(_bipartition_entropies(basis, states).mean(axis=1))
             return states
 
-        # each column's readings stay contiguous, so a window mean sums them as before
+        # each column's readings stay contiguous, so a window mean sums them in step order
         hc = np.concatenate(_half_chain_overlapped(basis, evolve, len(cuts))).reshape(-1, k).T
         return [(hc, np.concatenate(ba).reshape(-1, k).T if record_baee else None)]
 
