@@ -18,7 +18,7 @@ block of states, every canonical bipartition, both stages per chunk on a
 thread pool); ``bipartition_entropies`` and ``baee`` are its one-column
 calls.  ``_half_chain_overlapped`` runs the first stage of a sequence of
 blocks on the calling thread and the second on one worker, a block behind.
-Both pooled sections hold numpy's OpenBLAS at one thread.  Two aggregate
+The BAEE pool holds numpy's OpenBLAS at one thread.  Two aggregate
 quantities drive the experiments:
 
 * ``hcee``  -- entropy of the left half chain, sites 1..L/2.
@@ -204,25 +204,21 @@ def _cpus() -> int:
 
 @contextmanager
 def _one_blas_thread():
-    """numpy's OpenBLAS on one thread inside the block, its count after.
+    """numpy's bundled OpenBLAS on one thread inside the block, if it has one.
 
     A pooled section keeps every CPU busy; BLAS threads on top only contend.
-    Without numpy's bundled OpenBLAS it does nothing.
     """
     libs = (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*")
     lib = next((b for b in map(ctypes.CDLL, map(str, libs)) if hasattr(b, _SET_THREADS)), None)
     if lib is None:
         yield
         return
-    get, set_ = lib.scipy_openblas_get_num_threads64_, getattr(lib, _SET_THREADS)
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    before = get()
-    set_(1)
+    before = lib.scipy_openblas_get_num_threads64_()
+    getattr(lib, _SET_THREADS)(1)
     try:
         yield
     finally:
-        set_(before)
+        getattr(lib, _SET_THREADS)(before)
 
 
 def _half_chain_overlapped(basis: SectorBasis, evolve, n: int) -> list:
@@ -230,15 +226,14 @@ def _half_chain_overlapped(basis: SectorBasis, evolve, n: int) -> list:
 
     With two or more CPUs and blocks, the calling thread evolves each block
     and forms its Gram stacks, while one worker thread takes the spectra,
-    trace check and clip policy of the block before it: at most one is in
-    flight.  Otherwise both stages run inline.  The threads hand blocks
-    over through two queues, which allocate nothing on the C heap per
-    block; a future per block does, at moments that depend on thread
-    timing, and so made the peak memory vary from process to process.
+    trace check and clip policy of the block before.  Otherwise both stages
+    run inline.  The blocks go through two queues: a future per block
+    allocated on the C heap at moments that depend on thread timing, which
+    made the peak memory vary between processes.
     """
     if n == 1 or _cpus() == 1:
         return [_half_chain_entropies(basis, evolve(i)) for i in range(n)]
-    half, out, todo, done = range(1, basis.L // 2 + 1), [], SimpleQueue(), SimpleQueue()
+    sites, todo, done, out = range(1, basis.L // 2 + 1), SimpleQueue(), SimpleQueue(), []
 
     def work() -> None:
         for grams in iter(todo.get, None):
@@ -249,19 +244,19 @@ def _half_chain_overlapped(basis: SectorBasis, evolve, n: int) -> list:
             del grams
 
     worker = threading.Thread(target=work)
-    with _one_blas_thread():
-        worker.start()
-        try:
-            for i in range(n + 1):
-                if i < n:
-                    todo.put(list(_subset_grams(basis, half, evolve(i))))
-                if i:
-                    out.append(done.get())
-                    if isinstance(out[-1], BaseException):
-                        raise out[-1]
-        finally:
-            todo.put(None)
-            worker.join()
+    worker.start()
+    try:
+        for i in range(n + 1):  # one block in flight at a time
+            grams = list(_subset_grams(basis, sites, evolve(i))) if i < n else None
+            if i:
+                out.append(done.get())
+                if isinstance(out[-1], BaseException):
+                    raise out[-1]
+            todo.put(grams)
+            del grams
+    finally:
+        todo.put(None)
+        worker.join()
     return out
 
 

@@ -297,12 +297,12 @@ class _QuenchEngine:
         of a circuit, else the run's decomposition), each ``(len(steps), m)``
         and ``baee`` None unless ``record_baee``.  The phase factors are
         computed once per call.  One step evolves and reads the whole block
-        on the calling thread.  Several go through
-        :func:`entanglement._half_chain_overlapped` in pieces (a column's
-        steps, or half of them above 1 MiB): the calling thread evolves a
-        piece, forms its half-chain Gram stacks and takes its BAEE, while
-        one worker thread takes the spectra, trace check and clip policy of
-        the piece before.
+        on the calling thread.  Several evolve one column at a time, which
+        keeps each column's readings contiguous for the window mean, through
+        :func:`entanglement._half_chain_overlapped`: the calling thread
+        evolves a column, takes its BAEE and forms its half-chain Gram
+        stacks, while one worker thread takes the spectra, trace check and
+        clip policy of the column before.
         """
         basis = self.basis
         if self.spec.kind == "rqc":
@@ -315,26 +315,21 @@ class _QuenchEngine:
                 out.append(_circuit_readings(amps, gate, basis, bonds, steps, record_baee))
             return out
         factors = _phase_factors(self.decomp, steps)
-        k, m = factors.shape[1], block.shape[1]
-        # One step evolves the whole block, several each column: whole, or
-        # above 1 MiB in two pieces, the first in whole 8-column panels of the
-        # real GEMM.  Products that large take OpenBLAS's general kernel,
-        # whose columns are the same bits however the window is cut.
-        h = k if basis.dim * k * 16 <= 2**20 else -(-k // 8) * 4
-        cuts = [(slice(None), slice(None))] if k == 1 else [
-            (slice(j, j + 1), slice(s, s + h)) for j in range(m) for s in range(0, k, h)
-        ]
+        one_step = factors.shape[1] == 1
+        parts = [block] if one_step else [block[:, j : j + 1] for j in range(block.shape[1])]
         ba = []
 
         def evolve(i: int) -> np.ndarray:
-            states = _spectral_apply(self.decomp, block[:, cuts[i][0]], factors[:, cuts[i][1]])
+            states = _spectral_apply(self.decomp, parts[i], factors)
             if record_baee:
                 ba.append(_bipartition_entropies(basis, states).mean(axis=1))
             return states
 
-        # each column's readings stay contiguous, so a window mean sums them in step order
-        hc = np.concatenate(_half_chain_overlapped(basis, evolve, len(cuts))).reshape(-1, k).T
-        return [(hc, np.concatenate(ba).reshape(-1, k).T if record_baee else None)]
+        hc = _half_chain_overlapped(basis, evolve, len(parts))
+        # (readings, parts, k) -> (readings, len(steps), m)
+        read = np.array([hc, ba] if record_baee else [hc])
+        read = read if one_step else read.transpose(0, 2, 1)
+        return [(read[0], read[1] if record_baee else None)]
 
     def saturation(self, block: np.ndarray) -> np.ndarray:
         """Saturation entropy of every unit column of a ``(dim, m)`` block.

@@ -320,7 +320,7 @@ def test_pool_raises_a_weight_defect(rng, monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_pooled_sections_run_numpy_blas_on_one_thread():
+def test_bipartition_pool_runs_numpy_blas_on_one_thread():
     code = """
 import numpy as np
 from entdyn import entanglement
@@ -344,27 +344,20 @@ entanglement._gram_entropies = spy
 entanglement._cpus = lambda: 2
 basis = enumerate_sector(8, 0)
 block = np.eye(basis.dim, dtype=np.complex128)  # one bipartition per chunk
-sections = (
-    lambda: entanglement._bipartition_entropies(basis, block),
-    lambda: entanglement._half_chain_overlapped(basis, lambda i: block, 3),
-)
 print(threads())
-for run in sections:
-    run()
-    print(set(seen), threads())
-    seen.clear()
+entanglement._bipartition_entropies(basis, block)
+print(set(seen), threads())
+seen.clear()
 fail.append(True)
-for run in sections:
-    try:
-        run()
-    except NumericError:
-        print(set(seen), threads())
-    seen.clear()
+try:
+    entanglement._bipartition_entropies(basis, block)
+except NumericError:
+    print(set(seen), threads())
 """
     lines = run_with_blas_threads(code, 2).splitlines()
     if lines == ["absent"]:
         pytest.skip("numpy does not bundle OpenBLAS here")
-    assert lines == ["2"] + ["{1} 2"] * 4
+    assert lines == ["2", "{1} 2", "{1} 2"]
 
 
 def test_baee_is_mean_of_cut_entropies(rng, basis8):

@@ -750,7 +750,6 @@ import numpy as np
 from entdyn import entanglement
 from entdyn.experiments import FF_WINDOW
 from test_experiments import _free_fermion_run, _serial_readings
-# 252 x 301 amplitudes pass 1 MiB, so a column splits into 152 and 149 steps
 steps = np.linspace(0.5, 40.0, 301)
 for L in (10, 12):
     engine, block = _free_fermion_run(L)
