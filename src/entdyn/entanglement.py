@@ -213,12 +213,15 @@ def _one_blas_thread():
     if lib is None:
         yield
         return
-    before = lib.scipy_openblas_get_num_threads64_()
-    getattr(lib, _SET_THREADS)(1)
+    get, set_ = lib.scipy_openblas_get_num_threads64_, getattr(lib, _SET_THREADS)
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    before = get()
+    set_(1)
     try:
         yield
     finally:
-        getattr(lib, _SET_THREADS)(before)
+        set_(before)
 
 
 def _half_chain_overlapped(basis: SectorBasis, evolve, n: int) -> list:
