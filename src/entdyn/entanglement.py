@@ -18,7 +18,7 @@ block of states, every canonical bipartition, both stages per chunk on a
 thread pool); ``bipartition_entropies`` and ``baee`` are its one-column
 calls.  ``_half_chain_overlapped`` runs the first stage of a sequence of
 blocks on the calling thread and the second on one worker, a block behind.
-The BAEE pool holds numpy's OpenBLAS at one thread.  Two aggregate
+Every BAEE call holds numpy's OpenBLAS at one thread.  Two aggregate
 quantities drive the experiments:
 
 * ``hcee``  -- entropy of the left half chain, sites 1..L/2.
@@ -206,7 +206,8 @@ def _cpus() -> int:
 def _one_blas_thread():
     """numpy's bundled OpenBLAS on one thread inside the block, if it has one.
 
-    A pooled section keeps every CPU busy; BLAS threads on top only contend.
+    A pooled section keeps every CPU busy, and BLAS threads on top only
+    contend; a serial section held at one thread too gives the pool's bits.
     """
     libs = (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*")
     lib = next((b for b in map(ctypes.CDLL, map(str, libs)) if hasattr(b, _SET_THREADS)), None)
@@ -272,9 +273,10 @@ def _bipartition_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
     their entropies and writes its own columns of the result.  The chunks
     run on a thread pool with one worker per CPU the process may use (the
     calling thread alone on one CPU): LAPACK and the Gram products release
-    the GIL.  No chunk depends on another, and each row's entropy depends
-    on that row alone, so the entropies are the same bits for any number
-    of workers or states.  Workers only read the basis cache.
+    the GIL.  Either way numpy's OpenBLAS runs on one thread.  No chunk
+    depends on another, and each row's entropy depends on that row alone,
+    so the entropies are the same bits for any number of workers, states or
+    BLAS threads.  Workers only read the basis cache.
     """
     half = basis.L // 2
     cuts = enumerate_bipartitions(basis.L)
@@ -296,13 +298,14 @@ def _bipartition_entropies(basis: SectorBasis, block: np.ndarray) -> np.ndarray:
 
     starts = range(0, n, c)
     workers = min(len(starts), _cpus())
-    if workers == 1:
-        for start in starts:
-            chunk(start)
-    else:
-        with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(chunk, starts):
-                pass
+    with _one_blas_thread():
+        if workers == 1:
+            for start in starts:
+                chunk(start)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for _ in pool.map(chunk, starts):
+                    pass
     return out
 
 

@@ -10,7 +10,8 @@ itself; the physical dephasing at such times is insensitive to it).
 Prepared states are needed only up to T = 500, where a Chebyshev expansion
 of ``exp(-i H T)`` applied to the sparse chain (``_chebyshev_block``) gives
 every T from one recurrence without forming a dense matrix; a cost rule
-(``_chebyshev_wins``) picks it or the decomposition for each preparation.
+(``_chebyshev_wins``) picks it or the decomposition for each preparation
+that memory could decompose.
 
 Floquet maps are diagonalized through a complex Schur factorization.  For a
 unitary (hence normal) matrix the Schur form is diagonal and the transform

@@ -65,8 +65,8 @@ from .evolution import (  # noqa: F401
 from .operators import (  # noqa: F401
     DisorderFields,
     _build_chain,
+    _fits,
     _require_dense,
-    _xxz_half_width_bound,
     _xxz_terms,
     build_ising_z,
     build_local_cut,
@@ -225,30 +225,21 @@ def _preparation(
 def _prepared_block(terms, psi0: SectorState, T_arr) -> np.ndarray:
     """Columns ``|psi0(T)>`` for every preparation time, one block per run.
 
-    The route estimated cheaper (:func:`evolution._chebyshev_wins`) makes
-    it: one Chebyshev recurrence over the chain's terms, which never forms a
-    dim x dim matrix (from L = 12 for ``DEFAULT_T_LIST``, from L = 10 for
-    T = 4.5 alone), or the decomposition of the dense chain.  ``psi0`` is a
-    basis word, so its amplitudes are real.
+    One Chebyshev recurrence over the chain's terms makes it, never forming
+    a dim x dim matrix, unless the decomposition of the dense chain is both
+    estimated cheaper (:func:`evolution._chebyshev_wins`: below L = 12 for
+    ``DEFAULT_T_LIST``, below L = 10 for T = 4.5 alone) and fits in memory
+    (:func:`operators._fits`).  So a preparation needs no dense step that
+    :func:`_preflight` has not reserved.  ``psi0`` is a basis word, so its
+    amplitudes are real.
     """
+    dim = psi0.basis.dim
     _, half = _spectral_interval(terms)
     nnz = terms[0].size + terms[1].size
-    if _chebyshev_wins(psi0.basis.dim, nnz, half, T_arr):
+    if not _fits(dim, "decomposition") or _chebyshev_wins(dim, nnz, half, T_arr):
         return _chebyshev_block(terms, psi0.amplitudes.real, T_arr)
     prep = _decompose_owned(_build_chain(psi0.basis, terms))
     return _spectral_apply(prep, psi0.amplitudes[:, None], _phase_factors(prep, T_arr))
-
-
-def _chebyshev_certain(basis: SectorBasis, T_arr, prep_W: float, prep_jz: float) -> bool:
-    """Whether every run's preparation takes the Chebyshev route.
-
-    The route rule is asked with the largest half-width and entry count a
-    preparation chain can have (the severed chain has fewer entries), and
-    its Chebyshev estimate grows with both.
-    """
-    L, dim = basis.L, basis.dim
-    half_width = _xxz_half_width_bound(L, prep_W, prep_jz)
-    return _chebyshev_wins(dim, dim * (L // 2 + 1), half_width, T_arr)
 
 
 def _prep_times(T_list) -> np.ndarray:
@@ -390,21 +381,21 @@ def _make_engine(
     return engine
 
 
-def _preflight(basis: SectorBasis, kind: str | None = None, prep=None) -> None:
+def _preflight(basis: SectorBasis, kind: str, eigenstates: bool) -> None:
     """Refuse a run up front if its largest dense step exceeds memory.
 
-    That step is the Floquet map for ``floquet_mbl`` and one decomposition
-    for every other driver.  A driver whose only dense step is preparation
-    (circuits, the reservoir curve's SWAP sweep among them) passes ``prep =
-    (T_arr, prep_W, prep_jz)``; when every run's preparation goes to the
-    Chebyshev route it has no dense step, and nothing is reserved.  No
-    step runs while another step's dim x dim results are still held: a
-    preparation drops its eigenvectors before it returns, and
-    :func:`_each_run` drops each engine before the next run's preparation.
+    That step is the Floquet map for ``floquet_mbl``, and one decomposition
+    for the other Hamiltonian kinds and for eigenstate preparations.  A
+    circuit run with prepared states (the reservoir curve's SWAP sweep among
+    them) reserves nothing: :func:`_prepared_block` takes the Chebyshev
+    route whenever a decomposition would not fit.  No step runs while
+    another step's dim x dim results are still held: a preparation drops
+    its eigenvectors before it returns, and :func:`_each_run` drops each
+    engine before the next run's preparation.
     """
     if kind == "floquet_mbl":
         _require_dense(basis.dim, "Floquet map")
-    elif kind not in (None, "rqc") or prep is None or not _chebyshev_certain(basis, *prep):
+    elif kind != "rqc" or eigenstates:
         _require_dense(basis.dim, "decomposition")
 
 
@@ -430,11 +421,12 @@ def default_schedule(kind: str, depth: int = RQC_DEPTH, t_max: float | None = No
 
 
 def _setup(
-    L: int, spec: ProtocolSpec, runs: int, circuit_samples, depth, prep_W, prep_jz, T_arr=None
+    L: int, spec: ProtocolSpec, runs: int, circuit_samples, depth, prep_W, prep_jz,
+    eigenstates: bool = False,
 ) -> tuple[ProtocolSpec, SectorBasis]:
     """Check a driver call whole before its first run; its spec and basis.
 
-    ``T_arr`` holds the preparation times, None for eigenstate preparations.
+    ``eigenstates`` marks a driver that prepares eigenstates of the dense chain.
     """
     for name, value in (("runs", runs), ("circuit_samples", circuit_samples), ("depth", depth)):
         _check_count(name, value)
@@ -443,7 +435,7 @@ def _setup(
             raise ParameterError(f"{name} must be finite, got {value}")
     spec = spec.normalized()
     basis = enumerate_sector(L, 0)
-    _preflight(basis, spec.kind, None if T_arr is None else (T_arr, prep_W, prep_jz))
+    _preflight(basis, spec.kind, eigenstates)
     return spec, basis
 
 
@@ -488,7 +480,7 @@ def mean_trajectory(
     """
     if not 0 <= prep_T < np.inf:
         raise ParameterError(f"prep_T must be finite and nonnegative, got {prep_T}")
-    spec, basis = _setup(L, spec, runs, circuit_samples, depth, prep_W, prep_jz, [prep_T])
+    spec, basis = _setup(L, spec, runs, circuit_samples, depth, prep_W, prep_jz)
     kind = spec.kind
     if schedule is None:
         schedule = default_schedule(kind, depth)
@@ -589,7 +581,7 @@ def delta_s_sweep(
     quench setup (disorder or circuit sequences) shared by every ``T``.
     """
     T_arr = _prep_times(T_list)
-    spec, basis = _setup(L, spec, runs, circuit_samples, depth, prep_W, prep_jz, T_arr)
+    spec, basis = _setup(L, spec, runs, circuit_samples, depth, prep_W, prep_jz)
 
     def prepare(run):
         psi0, terms = _preparation(basis, master_seed, run, prep_W, prep_jz, prep_local)
@@ -632,7 +624,7 @@ def eigenstate_sweep(
     Hamiltonian span initial entropies from area-law edges to volume-law
     bulk; each is quenched exactly like a prepared state.
     """
-    spec, basis = _setup(L, spec, runs, circuit_samples, depth, prep_W, prep_jz)
+    spec, basis = _setup(L, spec, runs, circuit_samples, depth, prep_W, prep_jz, eigenstates=True)
     rank_arr = _whole_numbers(
         scaled_rank_list(basis.dim) if ranks is None else list(ranks), "ranks"
     )

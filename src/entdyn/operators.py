@@ -67,10 +67,15 @@ def _dense_peak(dim: int, step: str) -> int:
     return 8 * dim * (_PEAK_MATRICES[step] * dim + _PEAK_ROW_DOUBLES)
 
 
+def _fits(dim: int, step: str) -> bool:
+    """Whether memory can hold a dense ``step`` at dimension ``dim``."""
+    return _dense_peak(dim, step) <= _memory_budget()
+
+
 def _require_dense(dim: int, step: str) -> None:
     """Raise ``CapacityError`` before a dense ``step`` that memory cannot hold."""
-    need, budget = _dense_peak(dim, step), _memory_budget()
-    if need > budget:
+    if not _fits(dim, step):
+        need, budget = _dense_peak(dim, step), _memory_budget()
         raise CapacityError(
             f"the {step} at dimension {dim} needs about {need / 2**30:.2f} GiB, "
             f"more than the {budget / 2**30:.2f} GiB of physical memory"
@@ -206,14 +211,6 @@ def _xxz_terms(basis: SectorBasis, jz: float, fields: DisorderFields, severed=Fa
         zz_bonds={b: float(jz) for b in bonds},
         h=h,
     )
-
-
-def _xxz_half_width_bound(L: int, W: float, jz: float) -> float:
-    """Upper bound on the Gershgorin half-width of any XXZ chain drawn with
-    fields in [-W, W]: the fields and Ising terms move a diagonal entry by at
-    most ``L W / 2`` and ``(L - 1) |jz| / 4``, and a row holds at most
-    ``L - 1`` flip-flop entries of 1/2."""
-    return L * W / 2 + (L - 1) * (abs(jz) / 4 + 0.5)
 
 
 def build_xxz(basis: SectorBasis, jz: float, fields: DisorderFields) -> OperatorMatrix:

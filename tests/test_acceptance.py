@@ -26,10 +26,16 @@ from entdyn.entanglement import (
     hcee,
     subset_entropy,
 )
+from entdyn import experiments
 from entdyn.evolution import propagate, run_rqc, spectral_decompose
 from entdyn.experiments import (
+    CIRCUIT_SAMPLES,
+    DEFAULT_JZ,
     DEFAULT_T_LIST,
+    RQC_DEPTH,
+    THERMAL_W,
     ProtocolSpec,
+    SweepTable,
     classify_dynamics,
     delta_s_sweep,
     derive_rng,
@@ -58,6 +64,39 @@ def _check(number, ok, detail):
 def haar12():
     """Exact sector-mean half-chain entropy at L=12, in bits."""
     return haar_sector_mean_exact(12)
+
+
+SWAP = ProtocolSpec(kind="rqc", alpha=np.pi, beta=np.pi)
+
+
+def _swap_rows(L, runs):
+    """Per-run ``(initial, saturation)`` rows of the default SWAP sweep (seed 0).
+
+    They come from the drivers' own loop, and each run draws from its own
+    streams, so the first n rows are those of any n-run sweep.
+    """
+    T_arr = np.asarray(DEFAULT_T_LIST)
+    spec, basis = experiments._setup(
+        L, SWAP, runs, CIRCUIT_SAMPLES, RQC_DEPTH, THERMAL_W, DEFAULT_JZ
+    )
+
+    def prepare(run):
+        psi0, terms = experiments._preparation(basis, 0, run, THERMAL_W, DEFAULT_JZ)
+        return experiments._prepared_block(terms, psi0, T_arr)
+
+    return experiments._each_run(
+        basis, spec, runs, 0, CIRCUIT_SAMPLES, RQC_DEPTH, prepare, experiments._sweep_row
+    )
+
+
+def _swap_table(rows):
+    return SweepTable._from_runs(rows, T=np.asarray(DEFAULT_T_LIST))
+
+
+@pytest.fixture(scope="module")
+def swap12_rows():
+    """The 50 runs of the L = 12 SWAP sweep, computed once for criteria 7 and 10."""
+    return _swap_rows(12, 50)
 
 
 def _prepared_state(basis, run, prep_T=4.5, prep_W=0.5, jz=0.5, master_seed=0):
@@ -263,17 +302,15 @@ def test_inert_class():
 
 # -- 7: strong disorder and SWAP both rise then fall -------------------------
 
-def test_rise_then_fall_sweeps():
+def test_rise_then_fall_sweeps(swap12_rows):
     mbl = delta_s_sweep(12, ProtocolSpec(kind="hamiltonian_mbl"), runs=50, master_seed=0)
     y = mbl.delta_s
     peak = float(y[1:-1].max())
     m_first = peak - float(y[0])
     m_last = peak - float(y[-1])
     label_mbl = classify_dynamics(mbl).label
-    swap = delta_s_sweep(
-        12, ProtocolSpec(kind="rqc", alpha=np.pi, beta=np.pi), runs=50, master_seed=0
-    )
-    label_swap = classify_dynamics(swap).label
+    # delta_s_sweep(12, SWAP, runs=50, master_seed=0)
+    label_swap = classify_dynamics(_swap_table(swap12_rows)).label
     ok = (
         m_first > 0.1
         and m_last > 0.1
@@ -314,9 +351,11 @@ def test_severed_chain_half_cut_entropy_is_zero():
 
 # -- 10: the reservoir curve rises to an interior peak and decays ------------
 
-def test_reservoir_curve_shape():
-    curve = reservoir_curve(12, runs=32, master_seed=0)
-    e = curve.excess
+def test_reservoir_curve_shape(swap12_rows):
+    # reservoir_curve(12, runs=32, master_seed=0), whose BAEE minus HCEE is
+    # the SWAP sweep's delta S
+    curve = _swap_table(swap12_rows[:32])
+    e = curve.delta_s
     k = int(np.argmax(e))
     ok = e[0] < 1e-10 and 0 < k < e.size - 1 and e[-1] < 0.2 * e[k]
     _check(
@@ -325,6 +364,15 @@ def test_reservoir_curve_shape():
         f"excess starts {e[0]:.1e}, peaks {e[k]:.3f} bits at T={curve.T[k]:g}, "
         f"ends {e[-1]:.3f}",
     )
+
+
+def test_reservoir_curve_is_the_first_swap_rows():
+    # criteria 7 and 10 read the shared rows, so the public drivers are
+    # checked against them here, bit for bit, at L = 8
+    curve = reservoir_curve(8, runs=2, master_seed=0)
+    table = _swap_table(_swap_rows(8, 3)[:2])
+    for got, want in ((curve.hcee, table.s_initial), (curve.baee, table.s_sat)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.skipif(

@@ -16,9 +16,6 @@ from entdyn.config import (
 from entdyn.errors import ConfigError
 from entdyn.evolution import Trajectory
 from entdyn.experiments import (
-    DEFAULT_JZ,
-    DEFAULT_T_LIST,
-    THERMAL_W,
     EigensweepTable,
     ReservoirCurve,
     SweepTable,
@@ -404,17 +401,21 @@ def test_cli_refuses_what_memory_cannot_hold(tmp_path, capsys, monkeypatch):
     cfg.write_text("L = 16\nruns = 1\nprotocol.kind = floquet_mbl\nT_list = 4.5\n")
     assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
     assert "Floquet map at dimension 12870" in capsys.readouterr().err
-    experiments._preflight(enumerate_sector(16, 0), "thermal")
-    # a thermal sweep refuses too once the budget is below its quench's
-    # decomposition, while the reservoir curve, whose preparation goes to
-    # the Chebyshev route, has no dense step to refuse
+    experiments._preflight(enumerate_sector(16, 0), "thermal", False)
+    # a thermal sweep and a circuit eigensweep refuse too once the budget is
+    # below one decomposition, while the reservoir curve, whose preparation
+    # then goes to the Chebyshev route, has no dense step to refuse
     monkeypatch.setattr(operators, "_memory_budget", lambda: 100 << 20)
     cfg.write_text("L = 14\nruns = 1\nprotocol.kind = thermal\n")
     assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
     assert "decomposition at dimension 3432" in capsys.readouterr().err
-    prep = (np.asarray(DEFAULT_T_LIST), THERMAL_W, DEFAULT_JZ)
-    experiments._preflight(enumerate_sector(14, 0), prep=prep)
-    assert not (tmp_path / "s").exists() and not (tmp_path / "t").exists()
+    cfg.write_text(
+        "L = 14\nruns = 1\nprotocol.kind = rqc\nprotocol.alpha = 2.2\nprotocol.beta = 0.8\n"
+    )
+    assert cli(["eigensweep", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 2
+    assert "decomposition at dimension 3432" in capsys.readouterr().err
+    experiments._preflight(enumerate_sector(14, 0), "rqc", False)
+    assert not any((tmp_path / d).exists() for d in "ste")
 
 
 def test_cli_sweep_small_end_to_end(tmp_path, capsys):

@@ -28,7 +28,6 @@ from oracles import (
     oracle_baee,
     oracle_slot_row,
     oracle_subset_entropy,
-    run_one_thread,
     run_with_blas_threads,
 )
 
@@ -177,14 +176,6 @@ def test_block_matches_per_state_rows_bitwise():
     assert _block_mismatches() == []
 
 
-def test_block_matches_per_state_rows_bitwise_on_one_blas_thread():
-    code = """
-from test_entanglement import _block_mismatches
-print(_block_mismatches())
-"""
-    assert run_one_thread(code).split() == ["[]"]
-
-
 def _entropy_bits(L, m, rng):
     """``uint64`` views of two block calls on one new basis.
 
@@ -222,23 +213,6 @@ def test_pool_matches_one_worker_bitwise(monkeypatch):
         assert np.array_equal(pooled, serial), L
         assert np.array_equal(crowded, serial), L
     assert threading.active_count() == threads
-
-
-def test_pool_matches_one_worker_bitwise_on_one_blas_thread():
-    code = """
-import numpy as np
-from entdyn import entanglement
-from test_entanglement import _POOL_CASES, _entropy_bits
-cpus = entanglement._cpus
-for L, states in _POOL_CASES:
-    pooled = _entropy_bits(L, states, np.random.default_rng(L))
-    entanglement._cpus = lambda: 1
-    serial = _entropy_bits(L, states, np.random.default_rng(L))
-    entanglement._cpus = cpus
-    print(np.array_equal(pooled, serial))
-"""
-    lines = run_one_thread(code).split()
-    assert lines == ["True"] * len(_POOL_CASES)
 
 
 def _both_sides(L, subsets):
@@ -353,11 +327,17 @@ try:
     entanglement._bipartition_entropies(basis, block)
 except NumericError:
     print(set(seen), threads())
+fail.clear()
+for cpus, states in ((2, 1), (1, basis.dim)):  # one chunk, then one CPU
+    seen.clear()
+    entanglement._cpus = lambda: cpus
+    entanglement._bipartition_entropies(basis, block[:, :states])
+    print(set(seen), threads())
 """
     lines = run_with_blas_threads(code, 2).splitlines()
     if lines == ["absent"]:
         pytest.skip("numpy does not bundle OpenBLAS here")
-    assert lines == ["2", "{1} 2", "{1} 2"]
+    assert lines == ["2"] + ["{1} 2"] * 4
 
 
 def test_baee_is_mean_of_cut_entropies(rng, basis8):

@@ -10,9 +10,9 @@ import pytest
 
 from entdyn.basis import enumerate_sector
 from entdyn.entanglement import baee, haar_sector_mean_exact, hcee
-from entdyn import evolution, experiments
+from entdyn import evolution, experiments, operators
 from entdyn.entanglement import _half_chain_entropies
-from entdyn.errors import NumericError, ParameterError
+from entdyn.errors import CapacityError, NumericError, ParameterError
 from entdyn.evolution import floquet_power, propagate, run_rqc, spectral_decompose
 from entdyn.experiments import (
     DEFAULT_T_LIST,
@@ -41,8 +41,6 @@ from entdyn.operators import (
 from entdyn.evolution import (
     SpectralDecomposition,
     _chebyshev_block,
-    _chebyshev_wins,
-    _spectral_interval,
     build_floquet,
 )
 from entdyn.state import SectorState, random_sector_state
@@ -188,23 +186,58 @@ def test_import_leaves_the_chebyshev_modules_out():
     assert p.stdout.strip() == "[]"
 
 
-def _prep_route(L, T_list, run=0):
-    """The route rule's verdict up front and for run ``run``'s chain."""
+def _prep_route(L, T_list, monkeypatch):
+    """The routes ``_prepared_block`` takes for run 0's chain."""
     basis = enumerate_sector(L, 0)
-    T_arr = np.asarray(T_list)
-    up_front = experiments._chebyshev_certain(basis, T_arr, 0.5, 0.5)
-    _, terms = experiments._preparation(basis, 0, run, 0.5, 0.5)
-    _, half = _spectral_interval(terms)
-    nnz = terms[0].size + terms[1].size
-    return up_front, _chebyshev_wins(basis.dim, nnz, half, T_arr)
+    psi0, terms = experiments._preparation(basis, 0, 0, 0.5, 0.5)
+    taken = []
+    for name, route in (("_chebyshev_block", "chebyshev"), ("_decompose_owned", "dense")):
+        real = getattr(experiments, name)
+        spy = lambda *args, real=real, route=route: taken.append(route) or real(*args)
+        monkeypatch.setattr(experiments, name, spy)
+    experiments._prepared_block(terms, psi0, np.asarray(T_list))
+    return taken
 
 
-def test_route_rule_keeps_the_warm_up_dense_and_sends_l14_to_chebyshev():
+def test_route_rule_keeps_the_warm_up_dense_and_sends_l14_to_chebyshev(monkeypatch):
     # the benchmark's warm-up call (L = 6, one prep time T = 1)
-    assert _prep_route(6, (1.0,)) == (False, False)
-    assert _prep_route(14, DEFAULT_T_LIST) == (True, True)
+    assert _prep_route(6, (1.0,), monkeypatch) == ["dense"]
+    assert _prep_route(14, DEFAULT_T_LIST, monkeypatch) == ["chebyshev"]
     # a prep time far beyond the reference list goes back to dense
-    assert _prep_route(12, (0.0, 1e5)) == (False, False)
+    assert _prep_route(12, (0.0, 1e5), monkeypatch) == ["dense"]
+    # unless a decomposition would not fit
+    budget = operators._dense_peak(20, "decomposition") - 1
+    monkeypatch.setattr(operators, "_memory_budget", lambda: budget)
+    assert _prep_route(4, (1.0,), monkeypatch) == ["dense"]
+    assert _prep_route(6, (1.0,), monkeypatch) == ["chebyshev"]
+
+
+def _circuit_readings_l8(T_list):
+    """Every reading of a generic-circuit sweep and trajectory and of the
+    reservoir curve, at L = 8."""
+    generic = ProtocolSpec(kind="rqc", alpha=2.2, beta=0.8)
+    sweep = delta_s_sweep(8, generic, T_list, runs=2, circuit_samples=2, depth=200)
+    traj = mean_trajectory(8, generic, runs=2, schedule=[0, 10, 200], record_baee=True)
+    curve = reservoir_curve(8, T_list, runs=2)
+    return [sweep.s_initial, sweep.s_sat, traj.hcee, traj.baee, curve.hcee, curve.baee]
+
+
+def test_circuits_run_by_chebyshev_where_no_decomposition_fits(monkeypatch):
+    # with 500 kB an L = 8 decomposition (0.69 MB) does not fit: every
+    # Hamiltonian and eigenstate driver refuses before its first run, and
+    # circuits prepare by Chebyshev with the readings of the dense route
+    T_list = (0.0, 4.5, 500.0)
+    unconstrained = _circuit_readings_l8(T_list)
+    monkeypatch.setattr(operators, "_memory_budget", lambda: 500_000)
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "_preparation", lambda *args: pytest.fail("a run started"))
+        for kind in ("thermal", "hamiltonian_mbl", "anderson", "free_fermion", "floquet_mbl"):
+            with pytest.raises(CapacityError):
+                delta_s_sweep(8, ProtocolSpec(kind=kind), T_list, runs=1)
+        with pytest.raises(CapacityError):
+            eigenstate_sweep(8, ProtocolSpec(kind="rqc", alpha=2.2, beta=0.8), runs=1)
+    for got, want in zip(_circuit_readings_l8(T_list), unconstrained):
+        assert np.abs(got - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("local", [False, True], ids=["xxz", "severed"])

@@ -61,3 +61,56 @@ def test_pairs_alternate_and_summaries_count_wins(tmp_path):
     assert abs(run_s["parent"]["median"] - 1.06) < 1e-12
     assert run_s["beyond_parent_iqr"]
     assert setup_s["change_wins"] == 0 and not setup_s["beyond_parent_iqr"]  # ties
+
+
+TIER1_TESTS = """
+import time
+import pytest
+
+def test_slow():
+    time.sleep(0.2)
+
+def test_fast():
+    pass
+
+@pytest.mark.skip
+def test_skipped():
+    pass
+"""
+
+
+def test_tier1_runs_alternate_and_a_crashed_run_counts_as_failed(tmp_path):
+    parent = _checkout(tmp_path, "parent")
+    change = _checkout(tmp_path, "change")
+    (change / "entbench" / "run.py").write_text("raise SystemExit(3)\n")
+    for tree, extra in ((parent, "\ndef test_broken():\n    assert False\n"), (change, "")):
+        (tree / "tests").mkdir()
+        (tree / "tests" / "test_stub.py").write_text(TIER1_TESTS + extra)
+    (change / "benchmarks").mkdir()
+    shutil.copy(SCRIPT, change / "benchmarks" / "write_bench.py")
+    shutil.copy(SCRIPT.parents[1] / "BENCHMARK.json", change / "BENCHMARK.json")
+    out = tmp_path / "BENCH_1.json"
+    threads = {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "3"}
+    env = {**os.environ, **threads, "BENCH_LOG": str(tmp_path / "calls.log")}
+    subprocess.run(
+        [sys.executable, str(change / "benchmarks" / "write_bench.py"), "--against", str(parent),
+         "--workload", "w", "--tier1", "--pairs", "2", "--out", str(out)],
+        check=True, env=env, capture_output=True,
+    )
+    doc = json.loads(out.read_text())
+    assert "blas_threads" not in doc["machine"]
+    w = doc["workloads"]["w"]
+    assert w["correct"] == {"parent": True, "change": False}
+    assert w["failed"] == {"parent": 0, "change": 2}
+    tier1 = doc["tier1"]
+    assert tier1["blas_threads"] == threads
+    assert [p["first"] for p in tier1["pairs"]] == ["parent", "change"]
+    for pair in tier1["pairs"]:
+        counts = {side: [pair[side][k] for k in ("passed", "failed", "skipped", "errors")]
+                  for side in ("parent", "change")}
+        assert counts == {"parent": [2, 1, 1, 0], "change": [2, 0, 1, 0]}
+        assert pair["parent"]["returncode"] == 1 and pair["change"]["returncode"] == 0
+        slowest = pair["change"]["slowest"][0]
+        assert (slowest["test"], slowest["when"]) == ("tests/test_stub.py::test_slow", "call")
+        assert slowest["seconds"] >= 0.2
+    assert tier1["summary"]["wall_s"]["pairs"] == 2
