@@ -192,7 +192,7 @@ def _prep_route(L, T_list, monkeypatch):
     psi0, terms = experiments._preparation(basis, 0, 0, 0.5, 0.5)
     taken = []
     for name, route in (("_chebyshev_block", "chebyshev"), ("_decompose_owned", "dense")):
-        real = getattr(experiments, name)
+        real = getattr(evolution, name)
         spy = lambda *args, real=real, route=route: taken.append(route) or real(*args)
         monkeypatch.setattr(experiments, name, spy)
     experiments._prepared_block(terms, psi0, np.asarray(T_list))
